@@ -79,6 +79,8 @@ def resolve_config(args) -> RunConfig:
             setattr(cfg, key, value)
     if cfg.format not in ("text", "json", "csv", "md"):
         _usage_error(f"unknown format {cfg.format!r}")
+    if not 1 <= cfg.brute_cap <= oracle.BRUTE_CAP:
+        _usage_error(f"brute_cap must lie in [1, {oracle.BRUTE_CAP}], got {cfg.brute_cap}")
     return cfg
 
 
@@ -204,6 +206,8 @@ def cmd_table1(args, cfg: RunConfig) -> int:
         rows = [r for r in rows if r.row_no == args.row]
         if not rows:
             _usage_error(f"no row {args.row}")
+    if args.brute and not args.m_range:
+        _usage_error("table1 --brute needs --m-range")
     m_range = _parse_m_range(args.m_range) if args.m_range else None
     reports = [_row_report(row, m_range, args.brute, cfg) for row in rows]
     failed = any(

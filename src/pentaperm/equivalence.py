@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .families import FamilySpec, f_exponents
 from .field import FieldCtx, FieldElem, make_field, omega
+from .oracle import power_sum_table
 from .theory import r_closed_form
 
 __all__ = [
@@ -96,17 +97,6 @@ def f4_pool(ctx: FieldCtx) -> tuple[FieldElem, ...]:
     return tuple(ctx.elem(b) for b in sorted({0, 1, w.bits, ctx.sqr(w.bits)}))
 
 
-def _f_values(spec: FamilySpec, ctx: FieldCtx) -> list[int]:
-    exps = [e % ctx.order for e in f_exponents(spec, ctx.subfield_m)]
-    out = [0] * (1 << ctx.n)
-    for x in range(1, 1 << ctx.n):
-        acc = 0
-        for e in exps:
-            acc ^= ctx.pow(x, e)
-        out[x] = acc
-    return out
-
-
 def _linearized_invertible(ctx: FieldCtx, a: int, b: int) -> bool:
     # a x + b x^q is invertible iff a^(q+1) != b^(q+1)
     q = 1 << ctx.subfield_m
@@ -137,7 +127,7 @@ def verify_monomial_cert(cert: MonomialCert, spec: FamilySpec, m: int) -> bool:
     for name, (a, b) in (("L1", (cert.a1, cert.b1)), ("L2", (cert.a2, cert.b2))):
         if not _linearized_invertible(ctx, a.bits, b.bits):
             raise CertificateError("not-invertible", f"{name} is not a permutation")
-    fvals = _f_values(spec, ctx)
+    fvals = power_sum_table(ctx, f_exponents(spec, m))
     return _monomial_matches(
         ctx, fvals, cert.a1.bits, cert.b1.bits, cert.a2.bits, cert.b2.bits,
         cert.e, range(1 << ctx.n))
@@ -155,7 +145,7 @@ def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = monomial_exponent(spec, m)
-    fvals = _f_values(spec, ctx)
+    fvals = power_sum_table(ctx, f_exponents(spec, m))
     samples = [b for b in (1, 2, 3, 5) if b < (1 << ctx.n)]
     everything = range(1 << ctx.n)
     for a1, b1, a2, b2 in itertools.product(pool_bits, repeat=4):
@@ -208,7 +198,7 @@ def verify_bivariate_cert(cert: BivariateCert, spec: FamilySpec, m: int) -> bool
     if ctx.frob_q(ratio) == ratio:
         raise CertificateError("degenerate-combiner",
                                "combiner coefficients are base-field proportional")
-    fvals = _f_values(spec, ctx)
+    fvals = power_sum_table(ctx, f_exponents(spec, m))
     status = _bivariate_status(
         ctx, fvals, cert.c1.bits, cert.c2.bits, cert.c3.bits, cert.c4.bits,
         d1, d2, cert.e, full=True)
@@ -233,7 +223,7 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = spec.t
-    fvals = _f_values(spec, ctx)
+    fvals = power_sum_table(ctx, f_exponents(spec, m))
 
     def components_land(c1, c2) -> bool:
         for x in (1, 2, 3):

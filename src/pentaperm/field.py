@@ -7,8 +7,13 @@ processes always agree on element representations.  Elements are residue
 classes stored as plain bit masks; the FieldElem wrapper carries a context
 reference and refuses cross-context arithmetic.
 
-For n <= 16 a context builds log/antilog tables on first use; larger fields
-multiply via carryless word products followed by byte-table reduction.
+Every list of powers of one element (the antilog table, the unit circle,
+the subfield's multiplicative group) comes from FieldCtx.powers, which
+doubles a numpy array by multiplying its first half by a constant through
+per-byte lookup tables.  For n <= 16 a context also keeps the antilog
+table, and the log table derived from it, as Python lists for scalar
+multiplication; larger fields multiply via carryless word products
+followed by byte-table reduction.
 """
 
 from __future__ import annotations
@@ -152,10 +157,32 @@ class FieldCtx:
             else:
                 ps = prime_factors(self.order)
                 g = 2
-                while any(self._pow_raw(g, self.order // p) == 1 for p in ps):
+                while any(self.pow(g, self.order // p) == 1 for p in ps):
                     g += 1
                 self._gen = g
         return self._gen
+
+    def powers(self, base: int, count: int):
+        """[base^0, ..., base^(count-1)] as a numpy int64 array.
+
+        Built by doubling: out[B:2B] = out[:B] * base^B.  Multiplying by a
+        constant is GF(2)-linear, so each step XORs one 256-entry lookup
+        table per input byte.
+        """
+        import numpy as np
+
+        out = np.empty(count, dtype=np.int64)
+        out[:1] = 1
+        step, done = base, 1
+        while done < count:
+            src = out[:min(done, count - done)]
+            dst = out[done:done + len(src)]
+            dst[:] = 0
+            for t, tab in enumerate(self._byte_tables(step)):
+                dst ^= np.array(tab, dtype=np.int64)[(src >> 8 * t) & 0xFF]
+            step = self.mul(step, step)
+            done += len(src)
+        return out
 
     # -- element wrappers --------------------------------------------------
 
@@ -176,39 +203,23 @@ class FieldCtx:
 
     # -- internals ----------------------------------------------------------
 
-    def _pow_raw(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
-    def _mul_raw(self, a, b):
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            if a >> self.n:
-                a ^= self.modulus
-            b >>= 1
-        return r
+    def _byte_tables(self, c: int) -> list[list[int]]:
+        # tabs[t][b] = (b << 8t) * c, one table per byte of an element
+        tabs = []
+        for _ in range((self.n + 7) // 8):
+            tab = [0]
+            for _ in range(8):
+                tab += [v ^ c for v in tab]
+                c <<= 1
+                if c >> self.n:
+                    c ^= self.modulus
+            tabs.append(tab)
+        return tabs
 
     def _reduce(self, p: int) -> int:
         if self._fold is None:
             # fold[t][byte] = byte * x^(n + 8t) mod modulus, for the high part
-            folds = []
-            for t in range((self.n + 6) // 8):
-                tab = []
-                for byte in range(256):
-                    v = byte << (self.n + 8 * t)
-                    while v.bit_length() > self.n:
-                        v ^= self.modulus << (v.bit_length() - 1 - self.n)
-                    tab.append(v)
-                folds.append(tab)
-            self._fold = folds
+            self._fold = self._byte_tables(self.modulus ^ (1 << self.n))
         lo = p & ((1 << self.n) - 1)
         hi = p >> self.n
         t = 0
@@ -219,46 +230,23 @@ class FieldCtx:
         return lo
 
     def _build_tables(self):
-        g = self.generator()
-        order = self.order
-        exp = [1] * (2 * order + 1)
-        log = [0] * (1 << self.n)
-        v = 1
-        for k in range(order):
-            exp[k] = v
-            log[v] = k
-            v = self._mul_raw(v, g)
-        if v != 1:
-            raise AssertionError("generator order mismatch")
-        for k in range(order, 2 * order + 1):
-            exp[k] = exp[k - order]
-        self._exp = exp
-        self._log = log
+        import numpy as np
+
+        exp = self.exp_array()
+        log = np.zeros(1 << self.n, dtype=np.int64)
+        log[exp] = np.arange(self.order, dtype=np.int64)
+        vals = exp.tolist()
+        self._exp = vals * 2 + vals[:1]
+        self._log = log.tolist()
 
     def exp_array(self):
-        """Antilog table as a numpy int64 array (brute-force sweeps)."""
+        """Antilog table [g^0, ..., g^(order-1)] as a numpy int64 array."""
         if self._exp_np is None:
-            import numpy as np
-
-            if self._exp is not None:
-                self._exp_np = np.array(self._exp[: self.order], dtype=np.int64)
-            else:
-                arr = np.empty(self.order, dtype=np.int64)
-                g = self.generator()
-                v = 1
-                mul = self._mul_raw if g != 2 else None
-                if g == 2:
-                    n, modulus = self.n, self.modulus
-                    for k in range(self.order):
-                        arr[k] = v
-                        v <<= 1
-                        if v >> n:
-                            v ^= modulus
-                else:
-                    for k in range(self.order):
-                        arr[k] = v
-                        v = mul(v, g)
-                self._exp_np = arr
+            g = self.generator()
+            arr = self.powers(g, self.order)
+            if self.mul(int(arr[-1]), g) != 1:
+                raise AssertionError("generator order mismatch")
+            self._exp_np = arr
         return self._exp_np
 
     def __eq__(self, other):
@@ -390,15 +378,11 @@ def _unit_circle_bits(ctx: FieldCtx) -> list[int]:
         raise ValueError("unit circle needs subfield structure")
     q = 1 << ctx.subfield_m
     zeta = ctx.pow(ctx.generator(), q - 1)
-    out = []
-    v = 1
-    for _ in range(q + 1):
-        out.append(v)
-        v = ctx.mul(v, zeta)
-    if v != 1:
+    zs = ctx.powers(zeta, q + 1)
+    if ctx.mul(int(zs[-1]), zeta) != 1:
         raise AssertionError("unit circle enumeration did not close")
-    out.sort()
-    return out
+    zs.sort()
+    return zs.tolist()
 
 
 def in_base_field(x: FieldElem) -> bool:

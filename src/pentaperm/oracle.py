@@ -30,6 +30,7 @@ __all__ = [
     "DegreeOneMap",
     "BRUTE_CAP",
     "MU_CAP",
+    "power_sum_table",
     "monomials_permute",
     "brute_is_permutation",
     "g_map",
@@ -79,6 +80,28 @@ ProjPoint = FieldElem | _Infinity
 # permutation sweeps
 # ---------------------------------------------------------------------------
 
+def _power_sums(ctx: FieldCtx, exponents):
+    """xor of (g^k)^e over the exponents, indexed by k = 0 .. order-1."""
+    import numpy as np
+
+    order = ctx.order
+    table = ctx.exp_array()
+    ks = np.arange(order, dtype=np.int64)
+    values = np.zeros(order, dtype=np.int64)
+    for e in exponents:
+        values ^= table[(ks * (e % order)) % order]
+    return values
+
+
+def power_sum_table(ctx: FieldCtx, exponents) -> list[int]:
+    """xor of x^e over the positive exponents at every x, indexed by x's bit mask."""
+    import numpy as np
+
+    out = np.zeros(1 << ctx.n, dtype=np.int64)
+    out[ctx.exp_array()] = _power_sums(ctx, exponents)
+    return out.tolist()
+
+
 def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     """Whether x -> xor of x^e over the exponent list permutes GF(2^n).
 
@@ -94,15 +117,10 @@ def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     if any(e < 1 for e in exps):
         raise ValueError("exponents must be positive")
     ctx = make_field(n)
-    order = ctx.order
-    table = ctx.exp_array()
-    ks = np.arange(order, dtype=np.int64)
-    values = np.zeros(order, dtype=np.int64)
-    for e in exps:
-        values ^= table[(ks * (e % order)) % order]
+    values = _power_sums(ctx, exps)
     bitmap = np.zeros(1 << n, dtype=bool)
     bitmap[values] = True
-    return not bitmap[0] and int(bitmap.sum()) == order
+    return not bitmap[0] and int(bitmap.sum()) == ctx.order
 
 
 def brute_is_permutation(spec: FamilySpec, m: int, cap: int = BRUTE_CAP) -> bool:
@@ -212,13 +230,7 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     q = 1 << m
     gmap = g_map(spec)
     zeta = ctx.pow(ctx.generator(), q - 1)
-    zpow = [1] * (q + 1)
-    v = 1
-    for k in range(1, q + 1):
-        v = ctx.mul(v, zeta)
-        zpow[k] = v
-
-    ztab = np.array(zpow, dtype=np.int64)
+    ztab = ctx.powers(zeta, q + 1)
     ks = np.arange(q + 1, dtype=np.int64)
 
     def sparse_values(poly: BinPoly):
@@ -238,7 +250,7 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
             if nv != 0:
                 return False  # g hits infinity on the circle
             # common root of N and H: fall back to the reduced form
-            red = gmap.eval_bits(ctx, zpow[k])
+            red = gmap.eval_bits(ctx, int(ztab[k]))
             if red is INFINITY:
                 return False
             quotient_at[k] = red
@@ -247,7 +259,7 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     denom_inv = _batch_inverse(ctx, [int(hvals[k]) for k in points])
     for k, inv in zip(points, denom_inv):
         quotient_at[k] = ctx.mul(int(nvals[k]), inv)
-    return sorted(quotient_at.values()) == sorted(zpow)
+    return sorted(quotient_at.values()) == sorted(ztab.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +479,8 @@ def deg1_mu_to_p1(l: DegreeOneMap, ctx: FieldCtx) -> bool:
 
 def _base_field_bits(ctx: FieldCtx) -> set[int]:
     q = 1 << ctx.subfield_m
-    out = {0, 1}
     g = ctx.pow(ctx.generator(), q + 1)  # the norm image generates GF(2^m)*
-    v = 1
-    for _ in range(q - 2):
-        v = ctx.mul(v, g)
-        out.add(v)
-    return out
+    return {0, *ctx.powers(g, q - 1).tolist()}
 
 
 def deg1_mu_to_p1_by_enumeration(l: DegreeOneMap, ctx: FieldCtx) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -96,14 +97,16 @@ def run_search(cfg: SearchConfig) -> list[Candidate]:
     cfg.validate()
     m_list = cfg.m_list
     t_values = list(range(4, cfg.t_max))
-    if cfg.workers == 1 or len(t_values) <= 1:
+    nblocks = min(cfg.workers * 4, len(t_values))
+    # the pool forks every worker up front, so never more than can run
+    workers = min(cfg.workers, os.cpu_count() or 1, nblocks)
+    if workers == 1:
         blocks = [_search_block((t_values, m_list))]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        nblocks = min(cfg.workers * 4, len(t_values))
         chunks = [t_values[k::nblocks] for k in range(nblocks)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_search_block, [(c, m_list) for c in chunks]))
     found = [
         Candidate(GeneralPentanomial(t, rs), survived)

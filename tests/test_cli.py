@@ -73,6 +73,12 @@ def test_table1_brute_matrix(capsys):
     assert "FAIL" not in out
 
 
+def test_table1_brute_needs_m_range():
+    with pytest.raises(SystemExit) as err:
+        main(["table1", "--brute", "--row", "2"])
+    assert err.value.code == 2
+
+
 def test_table1_single_row_detail(capsys):
     code, out = run_cli(capsys, "table1", "--row", "17")
     assert code == 0
@@ -198,3 +204,32 @@ def test_brute_cap_exceeded_is_usage_error(capsys):
     code = main(["check", "--class", "A", "--i", "1", "--j", "1",
                  "--m", "13", "--brute"])
     assert code == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "25", "1000"])
+def test_brute_cap_out_of_range_flag(cap):
+    # rejected before any field is built
+    with pytest.raises(SystemExit) as err:
+        main(["--brute-cap", cap, "check", "--class", "A", "--i", "1", "--j", "1",
+              "--m", "2", "--brute"])
+    assert err.value.code == 2
+
+
+def test_brute_cap_out_of_range_env_and_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("PENTAPERM_BRUTE_CAP", "32")
+    with pytest.raises(SystemExit) as err:
+        main(["registry"])
+    assert err.value.code == 2
+    monkeypatch.delenv("PENTAPERM_BRUTE_CAP")
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("brute_cap = 0\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "registry"])
+    assert err.value.code == 2
+
+
+def test_brute_cap_in_range_accepted(capsys):
+    code, out = run_cli(capsys, "--brute-cap", "4", "check", "--class", "A",
+                        "--i", "3", "--j", "1", "--m", "2", "--brute")
+    assert code == 0
+    assert "agree" in out

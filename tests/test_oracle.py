@@ -4,7 +4,7 @@ ramification, and the degree-one-map classification procedures."""
 import pytest
 
 from conftest import all_specs
-from pentaperm.families import FamilySpec
+from pentaperm.families import FamilySpec, eval_f, f_exponents
 from pentaperm.field import make_field, omega, unit_circle
 from pentaperm.gf2poly import BinPoly
 from pentaperm.oracle import (
@@ -23,6 +23,7 @@ from pentaperm.oracle import (
     g_map,
     g_permutes_unit_circle,
     monomials_permute,
+    power_sum_table,
     ramification_index,
     ramification_profile,
 )
@@ -43,6 +44,14 @@ def test_monomials_permute_validation():
         monomials_permute(30, [2])
     with pytest.raises(ValueError):
         monomials_permute(4, [0])
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_power_sum_table_equals_eval_f(m):
+    ctx = make_field(2 * m, m)
+    for spec in all_specs(3):
+        table = power_sum_table(ctx, f_exponents(spec, m))
+        assert table == [eval_f(spec, ctx, x).bits for x in ctx.elements()]
 
 
 def test_brute_row2_at_m2():

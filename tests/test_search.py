@@ -100,3 +100,40 @@ def test_survived_m_fully_recorded():
     got = _by_shape(cands)
     row1 = got[(9, (3, 5, 7, 8))]
     assert row1.survived_m == (3,)  # failed m=2 but m=3 still tested
+
+
+class _RecordingExecutor:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers,cpus,t_max,expected", [
+    (64, 2, 12, [2]),     # bounded by the CPU count
+    (8, 16, 6, [2]),      # bounded by the two t-blocks of range(4, 6)
+    (3, 2, 10, [2]),      # the config-precedence case on a 2-CPU machine
+    (4, None, 12, []),    # unknown CPU count: no pool at all
+])
+def test_worker_pool_is_bounded(monkeypatch, workers, cpus, t_max, expected):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    m_set = frozenset({2, 3})
+    got = run_search(SearchConfig(t_max=t_max, m_set=m_set, workers=workers))
+    assert _RecordingExecutor.sizes == expected
+    assert got == run_search(SearchConfig(t_max=t_max, m_set=m_set))
