@@ -5,7 +5,8 @@ polynomial whose coefficient bitstring, read as an integer, is least.  A
 frozen table covers degrees 1..40, with a runtime sieve as fallback, so two
 processes always agree on element representations.  Elements are residue
 classes stored as plain bit masks; the FieldElem wrapper carries a context
-reference and refuses cross-context arithmetic.
+reference and refuses cross-context arithmetic.  make_field(2m, m) is a
+second view of make_field(2m) that shares all of its tables.
 
 Every list of powers of one element (the antilog table, the unit circle,
 the subfield's multiplicative group) comes from FieldCtx.powers, which
@@ -39,6 +40,7 @@ __all__ = [
 
 N_CAP = 40
 LOG_TABLE_MAX_N = 16
+_SLICE = 1 << 16  # entries per slice of one doubling step in FieldCtx.powers
 
 # Least irreducible of each degree, as a coefficient bitmask (leading bit set).
 # Frozen output of the sieve below; regenerated and checked by the test suite.
@@ -83,20 +85,25 @@ class FieldCtx:
     """Immutable description of GF(2^n); build via :func:`make_field`."""
 
     __slots__ = (
-        "n", "modulus", "order", "subfield_m",
+        "n", "modulus", "order", "subfield_m", "_plain",
         "_exp", "_log", "_gen", "_fold", "_exp_np",
     )
 
-    def __init__(self, n: int, modulus: int, subfield_m):
+    def __init__(self, n: int, modulus: int, subfield_m, plain: "FieldCtx | None" = None):
         self.n = n
         self.modulus = modulus
         self.order = (1 << n) - 1
         self.subfield_m = subfield_m
-        self._exp = None
-        self._log = None
-        self._gen = None
-        self._fold = None
-        self._exp_np = None
+        # a subfield context is a second view of the plain context of its
+        # degree: it shares every table, and builds missing ones on it
+        self._plain = plain
+        if plain is not None:
+            self._exp, self._log, self._gen, self._fold, self._exp_np = (
+                plain._exp, plain._log, plain._gen, plain._fold, plain._exp_np)
+            return
+        self._exp = self._log = self._gen = self._exp_np = None
+        # fold[t][byte] = byte * x^(n + 8t) mod modulus, for the high part
+        self._fold = self._byte_tables(modulus ^ (1 << n))
         if n <= LOG_TABLE_MAX_N:
             self._build_tables()
 
@@ -152,7 +159,9 @@ class FieldCtx:
     def generator(self) -> int:
         """Smallest bit mask generating the multiplicative group."""
         if self._gen is None:
-            if self.order == 1:
+            if self._plain is not None:
+                self._gen = self._plain.generator()
+            elif self.order == 1:
                 self._gen = 1
             else:
                 ps = prime_factors(self.order)
@@ -167,7 +176,8 @@ class FieldCtx:
 
         Built by doubling: out[B:2B] = out[:B] * base^B.  Multiplying by a
         constant is GF(2)-linear, so each step XORs one 256-entry lookup
-        table per input byte.
+        table per input byte.  Each step runs in slices of _SLICE entries,
+        so its temporaries stay small next to the output array.
         """
         import numpy as np
 
@@ -175,13 +185,16 @@ class FieldCtx:
         out[:1] = 1
         step, done = base, 1
         while done < count:
-            src = out[:min(done, count - done)]
-            dst = out[done:done + len(src)]
-            dst[:] = 0
-            for t, tab in enumerate(self._byte_tables(step)):
-                dst ^= np.array(tab, dtype=np.int64)[(src >> 8 * t) & 0xFF]
+            size = min(done, count - done)
+            tabs = [np.array(tab, dtype=np.int64) for tab in self._byte_tables(step)]
+            for lo in range(0, size, _SLICE):
+                src = out[lo:min(lo + _SLICE, size)]
+                dst = out[done + lo:done + lo + len(src)]
+                dst[:] = tabs[0][src & 0xFF]
+                for t in range(1, len(tabs)):
+                    dst ^= tabs[t][(src >> 8 * t) & 0xFF]
             step = self.mul(step, step)
-            done += len(src)
+            done += size
         return out
 
     # -- element wrappers --------------------------------------------------
@@ -217,9 +230,6 @@ class FieldCtx:
         return tabs
 
     def _reduce(self, p: int) -> int:
-        if self._fold is None:
-            # fold[t][byte] = byte * x^(n + 8t) mod modulus, for the high part
-            self._fold = self._byte_tables(self.modulus ^ (1 << self.n))
         lo = p & ((1 << self.n) - 1)
         hi = p >> self.n
         t = 0
@@ -240,13 +250,20 @@ class FieldCtx:
         self._log = log.tolist()
 
     def exp_array(self):
-        """Antilog table [g^0, ..., g^(order-1)] as a numpy int64 array."""
+        """Antilog table [g^0, ..., g^(order-1)] as a numpy int64 array.
+
+        A subfield context returns the array of the plain context of its
+        degree, so each degree builds the table once.
+        """
         if self._exp_np is None:
-            g = self.generator()
-            arr = self.powers(g, self.order)
-            if self.mul(int(arr[-1]), g) != 1:
-                raise AssertionError("generator order mismatch")
-            self._exp_np = arr
+            owner = self._plain or self
+            if owner._exp_np is None:
+                g = owner.generator()
+                arr = owner.powers(g, owner.order)
+                if owner.mul(int(arr[-1]), g) != 1:
+                    raise AssertionError("generator order mismatch")
+                owner._exp_np = arr
+            self._exp_np = owner._exp_np
         return self._exp_np
 
     def __eq__(self, other):
@@ -328,11 +345,15 @@ def make_field(n: int, subfield_m: int | None = None, *, n_cap: int = N_CAP) -> 
         raise ValueError(f"extension degree {n} outside [1, {n_cap}]")
     if subfield_m is not None and n != 2 * subfield_m:
         raise ValueError(f"subfield_m={subfield_m} inconsistent with n={n}")
-    key = (n, subfield_m)
-    ctx = _CTX_CACHE.get(key)
+    return _cached_field(n, subfield_m)
+
+
+def _cached_field(n: int, subfield_m: int | None) -> FieldCtx:
+    ctx = _CTX_CACHE.get((n, subfield_m))
     if ctx is None:
-        ctx = FieldCtx(n, canonical_modulus(n), subfield_m)
-        _CTX_CACHE[key] = ctx
+        plain = None if subfield_m is None else _cached_field(n, None)
+        ctx = _CTX_CACHE[(n, subfield_m)] = FieldCtx(
+            n, canonical_modulus(n), subfield_m, plain)
     return ctx
 
 

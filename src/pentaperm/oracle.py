@@ -7,6 +7,15 @@ are root multiplicities computed by synthetic division over GF(2^(2m)).
 That independence is what makes agreement with the theorem engine a
 meaningful check.
 
+Every whole-field sweep is one power sum, xor of x^e over the exponents,
+taken in discrete-log order x = g^k in blocks of at most _BLOCK logs.
+Exponents are first reduced mod 2^n - 1, and residues that occur an even
+number of times are dropped, since equal terms cancel in characteristic
+2.  A field with n <= 16 is one block: its columns (g^k)^e are cached as
+uint16 arrays, so repeated small sweeps cost a few xors.  A larger field
+gathers each block from the antilog table and keeps nothing, so a sweep
+holds the table, the 2^n-entry hit bitmap and one block.
+
 Branch points are reported as images of critical points found among the
 field points plus infinity.  The underlying definitions live over the
 algebraic closure; for the maps in scope every critical point lies in
@@ -17,6 +26,7 @@ reported as such.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .families import FamilySpec, build_H, build_N, f_exponents
@@ -80,17 +90,68 @@ ProjPoint = FieldElem | _Infinity
 # permutation sweeps
 # ---------------------------------------------------------------------------
 
-def _power_sums(ctx: FieldCtx, exponents):
-    """xor of (g^k)^e over the exponents, indexed by k = 0 .. order-1."""
+# Discrete logs per sweep block.  Every field with n <= 16 is one block,
+# whose columns are cached as uint16, so this must not exceed 1 << 16.
+_BLOCK = 1 << 16
+
+
+def _reduced_exponents(order: int, exponents) -> list[int]:
+    """Residues mod the group order that occur an odd number of times.
+
+    On nonzero x, x^e depends only on e mod the order, and equal terms
+    cancel in characteristic 2.
+    """
+    odd: set[int] = set()
+    for e in exponents:
+        odd ^= {e % order}
+    return sorted(odd)
+
+
+@functools.cache
+def _antilog_u16(n: int):
+    """The antilog table of GF(2^n) as a read-only uint16 array (n <= 16)."""
+    import numpy as np
+
+    table = make_field(n).exp_array().astype(np.uint16)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _column(n: int, e: int):
+    """(g^k)^e for k = 0 .. 2^n - 2 as a read-only uint16 array (one-block fields)."""
+    import numpy as np
+
+    order = (1 << n) - 1
+    col = _antilog_u16(n)[np.arange(order, dtype=np.int64) * e % order]
+    col.flags.writeable = False
+    return col
+
+
+def _power_sum_blocks(ctx: FieldCtx, exponents):
+    """Yield (xs, values) per block of discrete logs k: the points x = g^k
+    and the xor of x^e over the exponents at each.
+
+    A one-block field xors cached columns; a larger field gathers each
+    block from the antilog table and keeps nothing.
+    """
     import numpy as np
 
     order = ctx.order
+    exps = _reduced_exponents(order, exponents)
+    if order <= _BLOCK:
+        values = np.zeros(order, dtype=np.uint16)
+        for e in exps:
+            values ^= _column(ctx.n, e)
+        yield _antilog_u16(ctx.n), values
+        return
     table = ctx.exp_array()
-    ks = np.arange(order, dtype=np.int64)
-    values = np.zeros(order, dtype=np.int64)
-    for e in exponents:
-        values ^= table[(ks * (e % order)) % order]
-    return values
+    for lo in range(0, order, _BLOCK):
+        ks = np.arange(lo, min(lo + _BLOCK, order), dtype=np.int64)
+        values = np.zeros(len(ks), dtype=np.int64)
+        for e in exps:
+            values ^= table[ks * e % order]
+        yield table[lo:lo + len(ks)], values
 
 
 def power_sum_table(ctx: FieldCtx, exponents) -> list[int]:
@@ -98,7 +159,8 @@ def power_sum_table(ctx: FieldCtx, exponents) -> list[int]:
     import numpy as np
 
     out = np.zeros(1 << ctx.n, dtype=np.int64)
-    out[ctx.exp_array()] = _power_sums(ctx, exponents)
+    for xs, values in _power_sum_blocks(ctx, exponents):
+        out[xs] = values
     return out.tolist()
 
 
@@ -106,8 +168,8 @@ def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     """Whether x -> xor of x^e over the exponent list permutes GF(2^n).
 
     All exponents must be positive, so 0 maps to 0; nonzero elements are
-    swept through the antilog table and hits are marked in a bitmap of
-    size 2^n.  Duplicate exponents cancel in characteristic 2.
+    swept block by block in discrete-log order and hits are marked in a
+    bitmap of size 2^n.
     """
     import numpy as np
 
@@ -117,9 +179,9 @@ def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     if any(e < 1 for e in exps):
         raise ValueError("exponents must be positive")
     ctx = make_field(n)
-    values = _power_sums(ctx, exps)
     bitmap = np.zeros(1 << n, dtype=bool)
-    bitmap[values] = True
+    for _, values in _power_sum_blocks(ctx, exps):
+        bitmap[values] = True
     return not bitmap[0] and int(bitmap.sum()) == ctx.order
 
 

@@ -69,6 +69,17 @@ def test_make_field_deterministic_and_cached():
     assert a.modulus == canonical_modulus(8)
 
 
+@pytest.mark.parametrize("m", [2, 8, 9])
+def test_subfield_context_shares_the_plain_tables(m):
+    # one GF(2^(2m)), two views: tables are built once per degree, on
+    # both sides of the table-backed threshold
+    sub, plain = make_field(2 * m, m), make_field(2 * m)
+    assert sub is not plain and sub != plain
+    assert sub.exp_array() is plain.exp_array()
+    assert sub.generator() == plain.generator()
+    assert sub.mul(3, 5) == plain.mul(3, 5)
+
+
 def test_make_field_validation():
     with pytest.raises(ValueError):
         make_field(0)
@@ -219,6 +230,8 @@ def test_cross_context_operations_rejected():
     b = make_field(8).one()
     with pytest.raises(ValueError):
         elem_mul(a, b)
+    with pytest.raises(ValueError):
+        elem_mul(a, make_field(4, 2).one())
 
 
 def test_inversion_of_zero_rejected():

@@ -1,9 +1,18 @@
 """Unit tests for the brute-force oracles: sweeps, g on the circle,
 ramification, and the degree-one-map classification procedures."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_specs
+from pentaperm import oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
 from pentaperm.field import make_field, omega, unit_circle
 from pentaperm.gf2poly import BinPoly
@@ -29,6 +38,9 @@ from pentaperm.oracle import (
 )
 from pentaperm.theory import theorem_verdict
 
+# the default sweep block, and one small enough to split every field but GF(4)
+BLOCKS = [oracle._BLOCK, 5]
+
 
 def test_squaring_is_a_permutation():
     for n in (2, 4, 6):
@@ -47,11 +59,70 @@ def test_monomials_permute_validation():
 
 
 @pytest.mark.parametrize("m", range(1, 5))
-def test_power_sum_table_equals_eval_f(m):
+def test_power_sum_table_equals_eval_f(m, monkeypatch):
     ctx = make_field(2 * m, m)
-    for spec in all_specs(3):
-        table = power_sum_table(ctx, f_exponents(spec, m))
-        assert table == [eval_f(spec, ctx, x).bits for x in ctx.elements()]
+    for block in BLOCKS:
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        for spec in all_specs(3):
+            table = power_sum_table(ctx, f_exponents(spec, m))
+            assert table == [eval_f(spec, ctx, x).bits for x in ctx.elements()]
+
+
+@st.composite
+def field_and_exponents(draw):
+    """A degree n <= 8 and positive exponents, with multiples of 2^n - 1 and repeats."""
+    n = draw(st.integers(1, 8))
+    order = (1 << n) - 1
+    exps = draw(st.lists(st.one_of(st.integers(1, 4 * order),
+                                   st.integers(1, 4).map(lambda k: k * order)),
+                         max_size=6))
+    if exps:
+        exps += draw(st.lists(st.sampled_from(exps), max_size=3))
+    return n, draw(st.permutations(exps))
+
+
+def permutes_by_enumeration(n, exps):
+    ctx = make_field(n)
+    images = set()
+    for x in range(1 << n):
+        y = 0
+        for e in exps:
+            y ^= ctx.pow(x, e)
+        images.add(y)
+    return len(images) == 1 << n
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(deadline=None)
+@given(case=field_and_exponents())
+def test_monomials_permute_equals_enumeration(block, case):
+    n, exps = case
+    with mock.patch.object(oracle, "_BLOCK", block):
+        assert monomials_permute(n, exps) == permutes_by_enumeration(n, exps)
+
+
+def test_sweep_memory_is_the_antilog_table_plus_one_block():
+    # at n = 22 the antilog table is 32 MiB of int64; building it and
+    # sweeping may add the bitmap and one block, not further field-sized
+    # int64 arrays (ru_maxrss is in KiB on Linux)
+    code = textwrap.dedent("""
+        import resource
+        import numpy
+        from pentaperm.families import FamilySpec, f_exponents
+        from pentaperm.oracle import monomials_permute
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        verdict = monomials_permute(22, f_exponents(FamilySpec("B", 5, 6), 11))
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(verdict, (after - before) * 1024)
+    """)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    verdict, grown = out.stdout.split()
+    assert verdict == str(theorem_verdict(FamilySpec("B", 5, 6), 11).predicted)
+    assert int(grown) <= 2 * 8 * ((1 << 22) - 1)
 
 
 def test_brute_row2_at_m2():
