@@ -40,7 +40,10 @@ __all__ = [
 
 N_CAP = 40
 LOG_TABLE_MAX_N = 16
-_SLICE = 1 << 16  # entries per slice of one doubling step in FieldCtx.powers
+# Entries per numpy temporary in whole-field loops: one slice of a doubling
+# step in FieldCtx.powers, one sweep block in oracle.  oracle caches the
+# columns of one-block fields as uint16, so this must not exceed 1 << 16.
+_CHUNK = 1 << 16
 
 # Least irreducible of each degree, as a coefficient bitmask (leading bit set).
 # Frozen output of the sieve below; regenerated and checked by the test suite.
@@ -176,7 +179,7 @@ class FieldCtx:
 
         Built by doubling: out[B:2B] = out[:B] * base^B.  Multiplying by a
         constant is GF(2)-linear, so each step XORs one 256-entry lookup
-        table per input byte.  Each step runs in slices of _SLICE entries,
+        table per input byte.  Each step runs in slices of _CHUNK entries,
         so its temporaries stay small next to the output array.
         """
         import numpy as np
@@ -187,8 +190,8 @@ class FieldCtx:
         while done < count:
             size = min(done, count - done)
             tabs = [np.array(tab, dtype=np.int64) for tab in self._byte_tables(step)]
-            for lo in range(0, size, _SLICE):
-                src = out[lo:min(lo + _SLICE, size)]
+            for lo in range(0, size, _CHUNK):
+                src = out[lo:min(lo + _CHUNK, size)]
                 dst = out[done + lo:done + lo + len(src)]
                 dst[:] = tabs[0][src & 0xFF]
                 for t in range(1, len(tabs)):

@@ -30,7 +30,7 @@ import functools
 from dataclasses import dataclass
 
 from .families import FamilySpec, build_H, build_N, f_exponents
-from .field import FieldCtx, FieldElem, _unit_circle_bits, make_field
+from .field import _CHUNK, FieldCtx, FieldElem, _unit_circle_bits, make_field
 from .gf2poly import BinPoly, poly_divmod, poly_gcd, poly_reverse
 
 __all__ = [
@@ -90,9 +90,8 @@ ProjPoint = FieldElem | _Infinity
 # permutation sweeps
 # ---------------------------------------------------------------------------
 
-# Discrete logs per sweep block.  Every field with n <= 16 is one block,
-# whose columns are cached as uint16, so this must not exceed 1 << 16.
-_BLOCK = 1 << 16
+# Discrete logs per sweep block: every field with n <= 16 is one block.
+_BLOCK = _CHUNK
 
 
 def _reduced_exponents(order: int, exponents) -> list[int]:

@@ -59,13 +59,17 @@ def test_monomials_permute_validation():
 
 
 @pytest.mark.parametrize("m", range(1, 5))
-def test_power_sum_table_equals_eval_f(m, monkeypatch):
+def test_power_sum_table_equals_eval_f(m):
     ctx = make_field(2 * m, m)
-    for block in BLOCKS:
-        monkeypatch.setattr(oracle, "_BLOCK", block)
-        for spec in all_specs(3):
-            table = power_sum_table(ctx, f_exponents(spec, m))
-            assert table == [eval_f(spec, ctx, x).bits for x in ctx.elements()]
+    for spec in all_specs(3):
+        table = power_sum_table(ctx, f_exponents(spec, m))
+        assert table == [eval_f(spec, ctx, x).bits for x in ctx.elements()]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_power_sum_table_equals_eval_f_in_blocks_of_5(m, monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK", 5)
+    test_power_sum_table_equals_eval_f(m)
 
 
 @st.composite
