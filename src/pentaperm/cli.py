@@ -2,6 +2,12 @@
 and r-value sweeps, unit-circle/ramification reports, certificates, and the
 discovery search.
 
+Each command computes and returns a Report: its exit code, its result
+records and its text.  ``main`` renders the report once, to ``--out`` or
+stdout: json is one sorted-key object per record, and csv or md use the
+command's own rendering for that format where it has one, else the text.
+Usage errors are raised before any work starts.
+
 Configuration precedence is flags > environment (PENTAPERM_*) > config file
 (flat ``key = value`` lines) > defaults.  Exit codes: 0 all checks passed,
 1 a mathematical property or cross-validation failed, 2 usage error.
@@ -84,14 +90,6 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _usage_error(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -104,17 +102,37 @@ def _spec_from(args) -> FamilySpec:
         _usage_error(str(exc))
 
 
-def _json_line(kind: str, params: dict, result: dict, agrees) -> str:
-    return json.dumps(
-        {"kind": kind, "params": params, "result": result, "agrees": agrees},
-        sort_keys=True) + "\n"
+def _record(kind: str, params: dict, result: dict, agrees) -> dict:
+    return {"kind": kind, "params": params, "result": result, "agrees": agrees}
+
+
+@dataclass
+class Report:
+    """What a command produced: its exit code, its JSON records (None when
+    the text is the output in every format), its text, and its own md or
+    csv rendering where it has one."""
+
+    code: int
+    records: list[dict] | None
+    text: str
+    md: str | None = None
+    csv: str | None = None
+
+
+def render(report: Report, fmt: str) -> str:
+    """json: one sorted-key object per record; other formats: the command's
+    rendering for that format, falling back to its text."""
+    if fmt == "json" and report.records is not None:
+        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report.records)
+    rendered = {"md": report.md, "csv": report.csv}.get(fmt)
+    return report.text if rendered is None else rendered
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_check(args, cfg: RunConfig) -> int:
+def cmd_check(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
     verdict = theory.theorem_verdict(spec, args.m)
     params = {"class": spec.cls, "i": spec.i, "j": spec.j, "m": args.m}
@@ -125,40 +143,37 @@ def cmd_check(args, cfg: RunConfig) -> int:
         agrees = brute == verdict.predicted
     result = json.loads(verdict.to_json())
     result["brute"] = brute
-    if cfg.format == "json":
-        _emit(cfg, _json_line("check", params, result, agrees))
-    else:
-        lines = [
-            f"family {spec.cls} (i={spec.i}, j={spec.j}), t={spec.t}, m={args.m}",
-            f"  branch: {verdict.branch}, r={verdict.r}, "
-            f"gcd(t,q-1)={verdict.gcd1}"
-            + (f", gcd(t-2r,q+1)={verdict.gcd2}" if verdict.gcd2 is not None else ""),
-            f"  predicted permutation: {verdict.predicted}",
-        ]
-        if args.brute:
-            lines.append(f"  brute force: {brute}  ({'agree' if agrees else 'DISAGREE'})")
-        _emit(cfg, "\n".join(lines) + "\n")
-    return 0 if agrees in (None, True) else 1
+    lines = [
+        f"family {spec.cls} (i={spec.i}, j={spec.j}), t={spec.t}, m={args.m}",
+        f"  branch: {verdict.branch}, r={verdict.r}, "
+        f"gcd(t,q-1)={verdict.gcd1}"
+        + (f", gcd(t-2r,q+1)={verdict.gcd2}" if verdict.gcd2 is not None else ""),
+        f"  predicted permutation: {verdict.predicted}",
+    ]
+    if args.brute:
+        lines.append(f"  brute force: {brute}  ({'agree' if agrees else 'DISAGREE'})")
+    return Report(0 if agrees in (None, True) else 1,
+                  [_record("check", params, result, agrees)], "\n".join(lines) + "\n")
 
 
-def cmd_condition(args, cfg: RunConfig) -> int:
+def cmd_condition(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
     cond = theory.m_condition(spec)
     params = {"class": spec.cls, "i": spec.i, "j": spec.j}
-    if cfg.format == "json":
-        _emit(cfg, _json_line("condition", params, json.loads(cond.to_json()), None))
-    else:
-        _emit(cfg, f"family {spec.cls} (i={spec.i}, j={spec.j}), t={spec.t}: "
-                   f"{cond.render()}\n  {cond.to_json()}\n")
-    return 0
+    return Report(0, [_record("condition", params, json.loads(cond.to_json()), None)],
+                  f"family {spec.cls} (i={spec.i}, j={spec.j}), t={spec.t}: "
+                  f"{cond.render()}\n  {cond.to_json()}\n")
 
 
 def _parse_m_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi) + 1)
+        m_range = range(int(lo), int(hi) + 1)
     except ValueError:
         _usage_error(f"bad m-range {text!r}, expected like 1..6")
+    if not m_range or m_range[0] < 1:
+        _usage_error(f"m-range {text!r} must be nonempty with m >= 1")
+    return m_range
 
 
 def _row_report(row, m_range, brute, cfg) -> dict:
@@ -200,7 +215,7 @@ def _row_report(row, m_range, brute, cfg) -> dict:
     return report
 
 
-def cmd_table1(args, cfg: RunConfig) -> int:
+def cmd_table1(args, cfg: RunConfig) -> Report:
     rows = table1_registry()
     if args.row is not None:
         rows = [r for r in rows if r.row_no == args.row]
@@ -209,6 +224,8 @@ def cmd_table1(args, cfg: RunConfig) -> int:
     if args.brute and not args.m_range:
         _usage_error("table1 --brute needs --m-range")
     m_range = _parse_m_range(args.m_range) if args.m_range else None
+    if args.brute and 2 * m_range[-1] > cfg.brute_cap:
+        _usage_error(f"2m = {2 * m_range[-1]} exceeds the brute cap {cfg.brute_cap}")
     reports = [_row_report(row, m_range, args.brute, cfg) for row in rows]
     failed = any(
         rep["condition_agrees"] is False and not any(
@@ -217,85 +234,68 @@ def cmd_table1(args, cfg: RunConfig) -> int:
     failed |= any(
         not all(rep.get("brute_agreement", {}).values()) for rep in reports)
 
-    detail_lines = []
+    md = ["| row | starred | printed | engine | agrees | resolved |",
+          "|----:|---------|---------|--------|--------|----------|"]
+    lines = []
+    for rep in reports:
+        res = rep["resolved"]
+        md_res = f"{res['class']} i={res['i']} j={res['j']}" if res else "—"
+        md.append(
+            f"| {rep['row']} | {'*' if rep['starred'] else ''} | "
+            f"{rep['printed_condition']} | {rep['engine_condition'] or '—'} | "
+            f"{rep['condition_agrees']} | {md_res} |")
+        res_text = (f"{res['class']} (i={res['i']}, j={res['j']})"
+                    if res else "unresolved")
+        lines.append(f"row {rep['row']:2d}{'*' if rep['starred'] else ' '} "
+                     f"-> {res_text}")
+        lines.append(f"   printed: {rep['printed_condition']}")
+        if rep["engine_condition"]:
+            lines.append(f"   engine:  {rep['engine_condition']} "
+                         f"(agrees: {rep['condition_agrees']})")
+        for flag in rep["flags"]:
+            lines.append(f"   note: {flag}")
+        if "brute_agreement" in rep:
+            cells = " ".join(f"m={m}:{'ok' if ok else 'FAIL'}"
+                             for m, ok in rep["brute_agreement"].items())
+            lines.append(f"   brute: {cells}")
     if args.row is not None and len(rows) == 1:
-        row = rows[0]
-        resolved = match_row(row)
+        resolved = match_row(rows[0])
         if resolved is not None and theory.r_closed_form(resolved) == 0:
             cert2 = equivalence.search_monomial_cert(resolved, 2)
             cert3 = equivalence.search_bivariate_cert(resolved, 3)
-            detail_lines.append(
+            lines.append(
                 f"  m=2 monomial certificate: "
                 f"{cert2.to_json() if cert2 else 'pool exhausted'}")
-            detail_lines.append(
+            lines.append(
                 f"  m=3 bivariate certificate: "
                 f"{cert3.to_json() if cert3 else 'pool exhausted'}")
-
-    if cfg.format == "json":
-        out = "".join(
-            _json_line("table1_row", {"row": rep["row"]}, rep,
-                       rep["condition_agrees"]) for rep in reports)
-        _emit(cfg, out)
-    elif cfg.format == "md":
-        lines = ["| row | starred | printed | engine | agrees | resolved |",
-                 "|----:|---------|---------|--------|--------|----------|"]
-        for rep in reports:
-            res = rep["resolved"]
-            res_text = f"{res['class']} i={res['i']} j={res['j']}" if res else "—"
-            lines.append(
-                f"| {rep['row']} | {'*' if rep['starred'] else ''} | "
-                f"{rep['printed_condition']} | {rep['engine_condition'] or '—'} | "
-                f"{rep['condition_agrees']} | {res_text} |")
-        _emit(cfg, "\n".join(lines) + "\n")
-    else:
-        lines = []
-        for rep in reports:
-            res = rep["resolved"]
-            res_text = (f"{res['class']} (i={res['i']}, j={res['j']})"
-                        if res else "unresolved")
-            lines.append(f"row {rep['row']:2d}{'*' if rep['starred'] else ' '} "
-                         f"-> {res_text}")
-            lines.append(f"   printed: {rep['printed_condition']}")
-            if rep["engine_condition"]:
-                lines.append(f"   engine:  {rep['engine_condition']} "
-                             f"(agrees: {rep['condition_agrees']})")
-            for flag in rep["flags"]:
-                lines.append(f"   note: {flag}")
-            if "brute_agreement" in rep:
-                cells = " ".join(f"m={m}:{'ok' if ok else 'FAIL'}"
-                                 for m, ok in rep["brute_agreement"].items())
-                lines.append(f"   brute: {cells}")
-        lines.extend(detail_lines)
-        resolved_count = sum(1 for rep in reports if rep["resolved"])
-        lines.append(f"{resolved_count} of {len(reports)} rows resolved")
-        _emit(cfg, "\n".join(lines) + "\n")
-    return 1 if failed else 0
+    resolved_count = sum(1 for rep in reports if rep["resolved"])
+    lines.append(f"{resolved_count} of {len(reports)} rows resolved")
+    records = [_record("table1_row", {"row": rep["row"]}, rep, rep["condition_agrees"])
+               for rep in reports]
+    return Report(1 if failed else 0, records, "\n".join(lines) + "\n",
+                  md="\n".join(md) + "\n")
 
 
-def cmd_identities(args, cfg: RunConfig) -> int:
-    checks = []
+def cmd_identities(args, cfg: RunConfig) -> Report:
+    records = []
     for cls in families.CLASSES:
         for i in range(1, args.i_max + 1):
             for j in range(1, args.j_max + 1):
                 spec = FamilySpec(cls, i, j)
                 ok = (theory.verify_identity_derivative(spec)
                       and theory.verify_identity_Q(spec))
-                checks.append((spec, ok))
-    failed = [s for s, ok in checks if not ok]
-    if cfg.format == "json":
-        out = "".join(
-            _json_line("identity", {"class": s.cls, "i": s.i, "j": s.j},
-                       {"holds": ok}, ok) for s, ok in checks)
-        _emit(cfg, out)
-    else:
-        _emit(cfg, f"{len(checks)} identity checks, "
-                   f"{len(checks) - len(failed)} passed, {len(failed)} failed\n")
-    return 1 if failed else 0
+                records.append(_record("identity", {"class": cls, "i": i, "j": j},
+                                       {"holds": ok}, ok))
+    failed = sum(1 for rec in records if not rec["agrees"])
+    return Report(1 if failed else 0, records,
+                  f"{len(records)} identity checks, "
+                  f"{len(records) - failed} passed, {failed} failed\n")
 
 
-def cmd_rvalues(args, cfg: RunConfig) -> int:
+def cmd_rvalues(args, cfg: RunConfig) -> Report:
     mismatches = []
-    lines = []
+    records = []
     for cls in families.CLASSES:
         for i in range(1, args.i_max + 1):
             for j in range(1, args.j_max + 1):
@@ -304,25 +304,19 @@ def cmd_rvalues(args, cfg: RunConfig) -> int:
                 oracle_r = theory.r_oracle(spec)
                 if closed != oracle_r:
                     mismatches.append((spec, closed, oracle_r))
-                if cfg.format == "json":
-                    lines.append(_json_line(
-                        "rvalue", {"class": cls, "i": i, "j": j},
-                        {"closed_form": closed, "oracle": oracle_r},
-                        closed == oracle_r))
-    if cfg.format == "json":
-        _emit(cfg, "".join(lines))
-    else:
-        total = 3 * args.i_max * args.j_max
-        text = [f"{total} r-values compared, {total - len(mismatches)} agree"]
-        for note in theory.R_DISPLAY_NOTES:
-            text.append(f"note: {note}")
-        for spec, c, o in mismatches:
-            text.append(f"MISMATCH {spec!r}: closed form {c}, gcd oracle {o}")
-        _emit(cfg, "\n".join(text) + "\n")
-    return 1 if mismatches else 0
+                records.append(_record(
+                    "rvalue", {"class": cls, "i": i, "j": j},
+                    {"closed_form": closed, "oracle": oracle_r}, closed == oracle_r))
+    total = len(records)
+    text = [f"{total} r-values compared, {total - len(mismatches)} agree"]
+    for note in theory.R_DISPLAY_NOTES:
+        text.append(f"note: {note}")
+    for spec, c, o in mismatches:
+        text.append(f"MISMATCH {spec!r}: closed form {c}, gcd oracle {o}")
+    return Report(1 if mismatches else 0, records, "\n".join(text) + "\n")
 
 
-def cmd_gcheck(args, cfg: RunConfig) -> int:
+def cmd_gcheck(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
     if args.m > 8:
         _usage_error("ramification reports sweep the whole field; m <= 8 only")
@@ -338,20 +332,16 @@ def cmd_gcheck(args, cfg: RunConfig) -> int:
             ("inf" if beta is oracle.INFINITY else beta.hex()): idxs
             for beta, idxs in profile.items()},
     }
-    if cfg.format == "json":
-        _emit(cfg, _json_line("gcheck", params, result, None))
-    else:
-        lines = [
-            f"g for family {spec.cls} (i={spec.i}, j={spec.j}) at m={args.m}:",
-            f"  permutes the unit circle: {permutes}",
-            f"  critical points: {report}",
-            f"  branch profile: {result['branch_profile']}",
-        ]
-        _emit(cfg, "\n".join(lines) + "\n")
-    return 0
+    lines = [
+        f"g for family {spec.cls} (i={spec.i}, j={spec.j}) at m={args.m}:",
+        f"  permutes the unit circle: {permutes}",
+        f"  critical points: {report}",
+        f"  branch profile: {result['branch_profile']}",
+    ]
+    return Report(0, [_record("gcheck", params, result, None)], "\n".join(lines) + "\n")
 
 
-def cmd_equiv(args, cfg: RunConfig) -> int:
+def cmd_equiv(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
     ctx = make_field(2 * args.m, args.m)
     pool = None
@@ -361,46 +351,33 @@ def cmd_equiv(args, cfg: RunConfig) -> int:
         pool = [ctx.elem(b) for b in range(1 << ctx.n)]
     params = {"class": spec.cls, "i": spec.i, "j": spec.j, "m": args.m,
               "pool": args.pool}
-    if args.m % 2 == 0:
-        cert = equivalence.search_monomial_cert(spec, args.m, pool)
-        kind = "monomial"
-    else:
-        r = theory.r_closed_form(spec)
-        if r != 0:
-            if cfg.format == "json":
-                _emit(cfg, _json_line("equiv", params,
-                                      {"kind": "bivariate", "certificate": None,
-                                       "status": f"r = {r} > 0"}, None))
-            else:
-                _emit(cfg, f"r = {r} > 0: no bivariate decomposition exists "
-                           f"for odd m\n")
-            return 1
-        cert = equivalence.search_bivariate_cert(spec, args.m, pool)
-        kind = "bivariate"
-    if cert is None:
-        if cfg.format == "json":
-            _emit(cfg, _json_line("equiv", params,
+    kind = "monomial" if args.m % 2 == 0 else "bivariate"
+    if kind == "bivariate" and (r := theory.r_closed_form(spec)) != 0:
+        return Report(1, [_record("equiv", params,
                                   {"kind": kind, "certificate": None,
-                                   "status": "pool-exhausted"}, None))
-        else:
-            _emit(cfg, f"no {kind} certificate found over the {args.pool} pool "
-                       f"(pool exhausted; not a nonexistence proof)\n")
-        return 1
+                                   "status": f"r = {r} > 0"}, None)],
+                      f"r = {r} > 0: no bivariate decomposition exists for odd m\n")
+    # the certificate is checked against a brute sweep: refuse before searching
+    if 2 * args.m > cfg.brute_cap:
+        _usage_error(f"2m = {2 * args.m} exceeds the brute cap {cfg.brute_cap}")
+    search_cert = (equivalence.search_monomial_cert if kind == "monomial"
+                   else equivalence.search_bivariate_cert)
+    cert = search_cert(spec, args.m, pool)
+    if cert is None:
+        return Report(1, [_record("equiv", params,
+                                  {"kind": kind, "certificate": None,
+                                   "status": "pool-exhausted"}, None)],
+                      f"no {kind} certificate found over the {args.pool} pool "
+                      f"(pool exhausted; not a nonexistence proof)\n")
     gcd_ok = _cert_gcd_predicts(spec, args.m, cert)
     brute = oracle.brute_is_permutation(spec, args.m, cap=cfg.brute_cap)
     agrees = gcd_ok == brute
-    if cfg.format == "json":
-        _emit(cfg, _json_line("equiv", params,
-                              {"kind": kind,
-                               "certificate": json.loads(cert.to_json()),
-                               "verified": True,
-                               "exponent_gcd_predicts": gcd_ok,
-                               "brute": brute}, agrees))
-    else:
-        _emit(cfg, f"{kind} certificate: {cert.to_json()}\n"
-                   f"exponent gcd predicts permutation: {gcd_ok}; "
-                   f"brute: {brute} ({'agree' if agrees else 'DISAGREE'})\n")
-    return 0 if agrees else 1
+    result = {"kind": kind, "certificate": json.loads(cert.to_json()), "verified": True,
+              "exponent_gcd_predicts": gcd_ok, "brute": brute}
+    return Report(0 if agrees else 1, [_record("equiv", params, result, agrees)],
+                  f"{kind} certificate: {cert.to_json()}\n"
+                  f"exponent gcd predicts permutation: {gcd_ok}; "
+                  f"brute: {brute} ({'agree' if agrees else 'DISAGREE'})\n")
 
 
 def _cert_gcd_predicts(spec, m, cert) -> bool:
@@ -412,7 +389,7 @@ def _cert_gcd_predicts(spec, m, cert) -> bool:
     return math.gcd(cert.e, q - 1) == 1
 
 
-def cmd_search(args, cfg: RunConfig) -> int:
+def cmd_search(args, cfg: RunConfig) -> Report:
     try:
         m_set = frozenset(int(p) for p in args.m_set.split(",") if p)
     except ValueError:
@@ -423,26 +400,16 @@ def cmd_search(args, cfg: RunConfig) -> int:
     except ValueError as exc:
         _usage_error(str(exc))
     cands = search.match_candidates(search.run_search(scfg))
-    if cfg.format == "json":
-        meta = json.dumps({"kind": "search_meta",
-                           "params": {"t_max": scfg.t_max,
-                                      "m_set": sorted(scfg.m_set)},
-                           "result": {"candidates": len(cands)},
-                           "agrees": None}, sort_keys=True)
-        _emit(cfg, meta + "\n" + search.candidates_jsonl(cands))
-    elif cfg.format == "csv":
-        _emit(cfg, search.candidates_csv(cands))
-    elif cfg.format == "md":
-        _emit(cfg, search.summary_markdown(cands))
-    else:
-        _emit(cfg, f"tested m set {sorted(scfg.m_set)} below t_max={scfg.t_max}\n"
-                   + search.summary_markdown(cands))
-    return 0
+    meta = _record("search_meta", {"t_max": scfg.t_max, "m_set": sorted(scfg.m_set)},
+                   {"candidates": len(cands)}, None)
+    summary = search.summary_markdown(cands)
+    return Report(0, [meta, *search.candidate_records(cands)],
+                  f"tested m set {sorted(scfg.m_set)} below t_max={scfg.t_max}\n" + summary,
+                  md=summary, csv=search.candidates_csv(cands))
 
 
-def cmd_registry(args, cfg: RunConfig) -> int:
-    _emit(cfg, registry_as_json() + "\n")
-    return 0
+def cmd_registry(args, cfg: RunConfig) -> Report:
+    return Report(0, None, registry_as_json() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +487,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = resolve_config(args)
     try:
-        code = args.func(args, cfg)
-    except SystemExit:
-        raise
+        report = args.func(args, cfg)
     except theory.PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    text = render(report, cfg.format)
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return report.code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,10 @@ gathers each block from the antilog table and keeps nothing, so a sweep
 holds the table, the 2^n-entry hit bitmap and one block.
 
 Branch points are reported as images of critical points found among the
-field points plus infinity.  The underlying definitions live over the
+field points plus infinity.  Each ramification call scans the field
+once: it tabulates (point, image, index) for every point, evaluating g
+once per point, and the branch points, fibers, profile and report are
+filters over that table.  The underlying definitions live over the
 algebraic closure; for the maps in scope every critical point lies in
 F_4, a subfield of every GF(2^(2m)), so the concrete sweep sees them all.
 Inseparable maps such as x -> x^2 (where every point is critical) are
@@ -355,15 +358,8 @@ def _root_multiplicity(ctx: FieldCtx, coeffs: list[int], alpha: int) -> int:
     return mult
 
 
-def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
-    """Multiplicity of alpha as a root of N - g(alpha)D (D when g(alpha) = inf).
-
-    The index at infinity is computed through the substitution x -> 1/x.
-    """
-    if alpha is INFINITY:
-        return ramification_index(g.flipped(), ctx.zero(), ctx)
-    a = alpha.bits
-    value = g.eval_bits(ctx, a)
+def _index_at(g: RationalMap, a: int, value, ctx: FieldCtx) -> int:
+    """Multiplicity of a as a root of N - value*D (of D when value is INFINITY)."""
     if value is INFINITY:
         coeffs = _lift(g.reduced_den)
     else:
@@ -374,6 +370,16 @@ def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
         den += [0] * (width - len(den))
         coeffs = [x ^ y for x, y in zip(num, den)]
     return _root_multiplicity(ctx, coeffs, a)
+
+
+def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
+    """Multiplicity of alpha as a root of N - g(alpha)D (D when g(alpha) = inf).
+
+    The index at infinity is computed through the substitution x -> 1/x.
+    """
+    if alpha is INFINITY:
+        return ramification_index(g.flipped(), ctx.zero(), ctx)
+    return _index_at(g, alpha.bits, g.eval_bits(ctx, alpha.bits), ctx)
 
 
 def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> FieldElem:
@@ -389,20 +395,21 @@ def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> 
     return ctx.elem(ctx.mul(npv, dv) ^ ctx.mul(nv, dpv))
 
 
-def _critical_points(g: RationalMap, ctx: FieldCtx):
+def _ramification_table(g: RationalMap, ctx: FieldCtx) -> list[tuple]:
+    """(point, image, index) for every field point in bit order, then for
+    infinity; g is evaluated once per point."""
+    table = []
     for bits in range(1 << ctx.n):
-        point = ctx.elem(bits)
-        e = ramification_index(g, point, ctx)
-        if e > 1:
-            yield point, e
-    e = ramification_index(g, INFINITY, ctx)
-    if e > 1:
-        yield INFINITY, e
+        value = g.eval_bits(ctx, bits)
+        image = value if value is INFINITY else ctx.elem(value)
+        table.append((ctx.elem(bits), image, _index_at(g, bits, value, ctx)))
+    table.append((INFINITY, g.value_at_infinity(ctx), ramification_index(g, INFINITY, ctx)))
+    return table
 
 
 def branch_points_of_map(g: RationalMap, ctx: FieldCtx) -> set:
     """Images of the critical points found among field points and infinity."""
-    return {g.eval(ctx, point) for point, _ in _critical_points(g, ctx)}
+    return {image for _, image, e in _ramification_table(g, ctx) if e > 1}
 
 
 def branch_points(spec: FamilySpec, ctx: FieldCtx) -> set:
@@ -413,37 +420,25 @@ def branch_points(spec: FamilySpec, ctx: FieldCtx) -> set:
 def fiber_indices(g: RationalMap, beta: ProjPoint, ctx: FieldCtx) -> list[int]:
     """Sorted ramification indices over beta's preimages in the field plus
     infinity (the concrete part of the fiber)."""
-    fiber = []
-    for bits in range(1 << ctx.n):
-        point = ctx.elem(bits)
-        if g.eval(ctx, point) == beta:
-            fiber.append(ramification_index(g, point, ctx))
-    if g.eval(ctx, INFINITY) == beta:
-        fiber.append(ramification_index(g, INFINITY, ctx))
-    return sorted(fiber)
+    return sorted(e for _, image, e in _ramification_table(g, ctx) if image == beta)
 
 
 def ramification_profile(spec: FamilySpec, ctx: FieldCtx) -> dict:
     """Map each branch point to the sorted indices over its concrete fiber."""
-    gmap = g_map(spec)
-    return {
-        beta: fiber_indices(gmap, beta, ctx)
-        for beta in branch_points_of_map(gmap, ctx)
-    }
+    table = _ramification_table(g_map(spec), ctx)
+    branch = {image for _, image, e in table if e > 1}
+    # keys in the branch set's iteration order: gcheck's output follows it
+    return {beta: sorted(e for _, image, e in table if image == beta) for beta in branch}
 
 
 def ramification_report(spec: FamilySpec, ctx: FieldCtx) -> list[dict]:
     """JSON-renderable critical-point report: point, index, image."""
-    gmap = g_map(spec)
-    report = []
-    for point, e in _critical_points(gmap, ctx):
-        image = gmap.eval(ctx, point)
-        report.append({
-            "point": "inf" if point is INFINITY else point.hex(),
-            "index": e,
-            "image": "inf" if image is INFINITY else image.hex(),
-        })
-    return report
+    return [
+        {"point": "inf" if point is INFINITY else point.hex(),
+         "index": e,
+         "image": "inf" if image is INFINITY else image.hex()}
+        for point, image, e in _ramification_table(g_map(spec), ctx) if e > 1
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -25,6 +26,7 @@ __all__ = [
     "Candidate",
     "run_search",
     "match_candidates",
+    "candidate_records",
     "candidates_jsonl",
     "candidates_csv",
     "summary_markdown",
@@ -128,19 +130,20 @@ def match_candidates(cands: list[Candidate]) -> list[Candidate]:
     ]
 
 
+def candidate_records(cands: list[Candidate]) -> Iterator[dict]:
+    """One search_candidate record per candidate: params and result, no agrees.
+
+    A generator, so candidates_jsonl holds one record at a time.
+    """
+    for c in cands:
+        yield {"kind": "search_candidate",
+               "params": {"t": c.shape.t, "r": list(c.shape.rs)},
+               "result": {"survived_m": list(c.survived_m), "matched_row": c.matched_row}}
+
+
 def candidates_jsonl(cands: list[Candidate]) -> str:
     """One JSON object per line, stable key order."""
-    lines = []
-    for c in cands:
-        lines.append(json.dumps({
-            "kind": "search_candidate",
-            "params": {"t": c.shape.t, "r": list(c.shape.rs)},
-            "result": {
-                "survived_m": list(c.survived_m),
-                "matched_row": c.matched_row,
-            },
-        }, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in candidate_records(cands))
 
 
 def candidates_csv(cands: list[Candidate]) -> str:

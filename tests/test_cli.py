@@ -1,5 +1,6 @@
 """CLI surface tests: commands, formats, exit codes, config precedence."""
 
+import hashlib
 import json
 
 import pytest
@@ -233,3 +234,134 @@ def test_brute_cap_in_range_accepted(capsys):
                         "--i", "3", "--j", "1", "--m", "2", "--brute")
     assert code == 0
     assert "agree" in out
+
+
+# stdout SHA-256 and exit code of each invocation in each format, so any
+# change to CLI output bytes is deliberate: the README examples (search at
+# a smaller t_max), a second brute range, and equiv at m = 3 for an r = 0
+# and an r > 0 family
+PINNED_OUTPUT = {
+    "check --class B --i 5 --j 6 --m 4 --brute": (0, {
+        "text": "3cd6f93cc95f6ebb2b6785659f45febad4b20f0caca41eb8b03d90295325af76",
+        "json": "be2a0eb244833e925710f4468375525aa8d8ec65984c8ff937a0c02a0f744ca4",
+        "csv": "3cd6f93cc95f6ebb2b6785659f45febad4b20f0caca41eb8b03d90295325af76",
+        "md": "3cd6f93cc95f6ebb2b6785659f45febad4b20f0caca41eb8b03d90295325af76",
+    }),
+    "condition --class B --i 5 --j 6": (0, {
+        "text": "d6200ac233d817b0c2b3ac3703a42fb7130f32454d64b3c64e3f880f279a568a",
+        "json": "43e9f6456e8107403f6b3be457891303f897a6221de0693907f719676b325206",
+        "csv": "d6200ac233d817b0c2b3ac3703a42fb7130f32454d64b3c64e3f880f279a568a",
+        "md": "d6200ac233d817b0c2b3ac3703a42fb7130f32454d64b3c64e3f880f279a568a",
+    }),
+    "table1": (0, {
+        "text": "fdfd5aa41a29471ed86d81b9c8e08d205eb81ecd442b6294c27e9e1f09d04888",
+        "json": "15bea0c16477f3abb3111de93cba6c535323f1085e690adff05874aeff247bf7",
+        "csv": "fdfd5aa41a29471ed86d81b9c8e08d205eb81ecd442b6294c27e9e1f09d04888",
+        "md": "7d0548ce36f504230e5963d5c2688407b5c3aee24a82b80372ac0c6e31ddfd2d",
+    }),
+    "table1 --m-range 1..6 --brute": (0, {
+        "text": "aaea49f58221a65d6de5d5455627ef274044123d086c340f616a0ce3a1ca9862",
+        "json": "b1038678f16a72bcee9efde428b281f0acb04f88e96613c3d37bf6179cde0eff",
+        "csv": "aaea49f58221a65d6de5d5455627ef274044123d086c340f616a0ce3a1ca9862",
+        "md": "7d0548ce36f504230e5963d5c2688407b5c3aee24a82b80372ac0c6e31ddfd2d",
+    }),
+    "table1 --m-range 1..4 --brute": (0, {
+        "text": "af100943e73694f7edb5a9732759232d10a0b14cb6f63a23c03b97b4f2c1716a",
+        "json": "e377e9c3d0fb6c2740209fd80d01f8a766d1e58bee7f579faeff1dd346efb79d",
+        "csv": "af100943e73694f7edb5a9732759232d10a0b14cb6f63a23c03b97b4f2c1716a",
+        "md": "7d0548ce36f504230e5963d5c2688407b5c3aee24a82b80372ac0c6e31ddfd2d",
+    }),
+    "table1 --row 17": (0, {
+        "text": "b5e8f644208edaab6e1c3fa8a3eb12efba320e1e0daba67c273abf425e074b44",
+        "json": "2f4930f95fb0a45c409ebfc7cbe6df6ca2262a336688d678918a5e593c22fe32",
+        "csv": "b5e8f644208edaab6e1c3fa8a3eb12efba320e1e0daba67c273abf425e074b44",
+        "md": "59c89fe42375689017c587668b9c57907c4aa570b4187c286a9c93f39b1e9279",
+    }),
+    "identities --i-max 8 --j-max 8": (0, {
+        "text": "33721f5852649090d48e56ee12e28014e3753779a09910954777715630fab1d0",
+        "json": "39c58ec240695236bafdf16bfca5e4d68122e0d0616cea88ca7c4290030b4d91",
+        "csv": "33721f5852649090d48e56ee12e28014e3753779a09910954777715630fab1d0",
+        "md": "33721f5852649090d48e56ee12e28014e3753779a09910954777715630fab1d0",
+    }),
+    "rvalues --i-max 8 --j-max 8": (0, {
+        "text": "4721667a248a3471f9fde108613d95183f1ca9d8a91983503d24041e9a196db0",
+        "json": "124f78b27dfdc33a4391f5794f20ba4eabf2813a5578c12318888d53492cdbdd",
+        "csv": "4721667a248a3471f9fde108613d95183f1ca9d8a91983503d24041e9a196db0",
+        "md": "4721667a248a3471f9fde108613d95183f1ca9d8a91983503d24041e9a196db0",
+    }),
+    "gcheck --class A --i 3 --j 1 --m 2": (0, {
+        "text": "3ed5c38ead67b1e02544cc672fb5da1024e9db7c8863a3c98c8db9b302923ef3",
+        "json": "5f53144af31783057bb28a701b126e9aa8c8f7a0c3735f46734e035ae1cc737d",
+        "csv": "3ed5c38ead67b1e02544cc672fb5da1024e9db7c8863a3c98c8db9b302923ef3",
+        "md": "3ed5c38ead67b1e02544cc672fb5da1024e9db7c8863a3c98c8db9b302923ef3",
+    }),
+    "equiv --class B --i 5 --j 6 --m 4": (0, {
+        "text": "70cd9b2f0d531fe9700ddb0045059ff2dfec3b90105b0e905884a4b2cfa8a638",
+        "json": "0bfd5e6239670206161bedd13cb13ec2a09d5ba33bc5abbf0ea24a2fd612e615",
+        "csv": "70cd9b2f0d531fe9700ddb0045059ff2dfec3b90105b0e905884a4b2cfa8a638",
+        "md": "70cd9b2f0d531fe9700ddb0045059ff2dfec3b90105b0e905884a4b2cfa8a638",
+    }),
+    "equiv --class A --i 3 --j 1 --m 3": (0, {
+        "text": "497e057dcd03267d5f904c1aac0a072237dd347cb34c3ddf8e0ea2e74de70c5c",
+        "json": "c1dd95b7b47799e2b85d17b9db92a9ede98aa119deb23501e45d7bbce3c7ed5c",
+        "csv": "497e057dcd03267d5f904c1aac0a072237dd347cb34c3ddf8e0ea2e74de70c5c",
+        "md": "497e057dcd03267d5f904c1aac0a072237dd347cb34c3ddf8e0ea2e74de70c5c",
+    }),
+    "equiv --class A --i 2 --j 2 --m 3": (1, {
+        "text": "8e3d51dbfbc621470218eb5fe26a3914408708b154465b4a5d3d09931d64f28d",
+        "json": "a5fb9e2b32c380881cce1c83e5e0edb580121a845e00e30f33c79a369dff96f7",
+        "csv": "8e3d51dbfbc621470218eb5fe26a3914408708b154465b4a5d3d09931d64f28d",
+        "md": "8e3d51dbfbc621470218eb5fe26a3914408708b154465b4a5d3d09931d64f28d",
+    }),
+    "search --t-max 10 --m-set 2,3": (0, {
+        "text": "f84241437fe5e542c37ea14942ffff7f612fae80600b4d362900250797a6c438",
+        "json": "9ecb1bf065dfe777268faf17226eda639a2bf9c00021823da99e03f23536a003",
+        "csv": "6ca9e12aa371dac1791e6e0c44ccbe47c41bb8028a453869cc70c92a21139182",
+        "md": "898d524d681d9504716a287376565e3474de69be83eb4bf8daaec16647615d5f",
+    }),
+    "registry": (0, {
+        "text": "2e4e83d586b0f04b39addf8ac46e5fc87ff3d5de83b740999efffa53027f7a5c",
+        "json": "2e4e83d586b0f04b39addf8ac46e5fc87ff3d5de83b740999efffa53027f7a5c",
+        "csv": "2e4e83d586b0f04b39addf8ac46e5fc87ff3d5de83b740999efffa53027f7a5c",
+        "md": "2e4e83d586b0f04b39addf8ac46e5fc87ff3d5de83b740999efffa53027f7a5c",
+    }),
+}
+
+
+@pytest.mark.parametrize("invocation", PINNED_OUTPUT)
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "md"])
+def test_output_bytes_pinned(invocation, fmt, tmp_path, capsys):
+    code, digests = PINNED_OUTPUT[invocation]
+    digest = digests[fmt]
+    argv = ["--format", fmt] + invocation.split()
+    got_code, out = run_cli(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    target = tmp_path / "out.txt"
+    assert run_cli(capsys, "--out", str(target), *argv) == (code, "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("m_range", ["3..1", "0..2", "1..13 --brute", "3..1 --brute"])
+def test_table1_bad_m_range_refused_before_sweeping(m_range, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("swept before refusing")
+
+    monkeypatch.setattr("pentaperm.cli.oracle.brute_is_permutation", fail)
+    monkeypatch.setattr("pentaperm.cli.oracle.monomials_permute", fail)
+    with pytest.raises(SystemExit) as err:
+        main(["table1", "--m-range", *m_range.split()])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("family", ["--class B --i 5 --j 6 --m 4",
+                                    "--class A --i 3 --j 1 --m 3"])
+def test_equiv_above_brute_cap_refused_before_search(family, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("searched before refusing")
+
+    monkeypatch.setattr("pentaperm.cli.equivalence.search_monomial_cert", fail)
+    monkeypatch.setattr("pentaperm.cli.equivalence.search_bivariate_cert", fail)
+    with pytest.raises(SystemExit) as err:
+        main(["--brute-cap", "4", "equiv", *family.split()])
+    assert err.value.code == 2

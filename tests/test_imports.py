@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import pentaperm
 
 PACKAGE_DIR = os.path.dirname(pentaperm.__file__)
@@ -43,11 +45,13 @@ def test_oracle_never_imports_theory():
     assert "pentaperm.theory" not in seen
 
 
-def test_import_does_not_load_numpy():
+@pytest.mark.parametrize("module", ["pentaperm", "pentaperm.cli"])
+def test_import_does_not_load_numpy(module):
+    # CLI startup pulls in oracle, equivalence and search; numpy must stay lazy
     env = dict(os.environ)
     src = os.path.dirname(PACKAGE_DIR)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pentaperm; print('numpy' in sys.modules)"
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"

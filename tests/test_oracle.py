@@ -28,6 +28,7 @@ from pentaperm.oracle import (
     deg1_bijects_mu_by_enumeration,
     deg1_mu_to_p1,
     deg1_mu_to_p1_by_enumeration,
+    fiber_indices,
     g_eval,
     g_map,
     g_permutes_unit_circle,
@@ -35,6 +36,7 @@ from pentaperm.oracle import (
     power_sum_table,
     ramification_index,
     ramification_profile,
+    ramification_report,
 )
 from pentaperm.theory import theorem_verdict
 
@@ -271,6 +273,33 @@ def test_profile_fiber_sums_reach_degree_over_branch_points():
             g = g_map(spec)
             for beta, idxs in ramification_profile(spec, ctx).items():
                 assert sum(idxs) == g.degree
+
+
+def _hex(point):
+    return "inf" if point is INFINITY else point.hex()
+
+
+def test_ramification_scans_match_pointwise_definitions():
+    # report, branch set and profile come from one table per call; check
+    # them, key order included, against ramification_index and g.eval
+    for m in (2, 3):
+        ctx = make_field(2 * m, m)
+        points = [ctx.elem(b) for b in range(1 << ctx.n)] + [INFINITY]
+        for spec in all_specs(2):
+            g = g_map(spec)
+            crit = [(p, ramification_index(g, p, ctx)) for p in points]
+            crit = [(p, e) for p, e in crit if e > 1]
+            assert ramification_report(spec, ctx) == [
+                {"point": _hex(p), "index": e, "image": _hex(g.eval(ctx, p))}
+                for p, e in crit]
+            branch = {g.eval(ctx, p) for p, _ in crit}
+            assert branch_points(spec, ctx) == branch
+            profile = ramification_profile(spec, ctx)
+            assert list(profile) == list(branch)
+            for beta in branch:
+                fiber = sorted(ramification_index(g, p, ctx) for p in points
+                               if g.eval(ctx, p) == beta)
+                assert profile[beta] == fiber == fiber_indices(g, beta, ctx)
 
 
 def test_residual_vanishes_at_omega():
