@@ -11,10 +11,10 @@ second view of make_field(2m) that shares all of its tables.
 Every list of powers of one element (the antilog table, the unit circle,
 the subfield's multiplicative group) comes from FieldCtx.powers, which
 doubles a numpy array by multiplying its first half by a constant through
-per-byte lookup tables.  For n <= 16 a context also keeps the antilog
-table, and the log table derived from it, as Python lists for scalar
-multiplication; larger fields multiply via carryless word products
-followed by byte-table reduction.
+per-byte lookup tables (FieldCtx._times, which also advances oracle's
+sweep blocks).  For n <= 16 a context also keeps the antilog table, and
+the log table derived from it, as Python lists for scalar multiplication;
+larger fields multiply via carryless word products and byte-table folds.
 """
 
 from __future__ import annotations
@@ -177,10 +177,9 @@ class FieldCtx:
     def powers(self, base: int, count: int):
         """[base^0, ..., base^(count-1)] as a numpy int64 array.
 
-        Built by doubling: out[B:2B] = out[:B] * base^B.  Multiplying by a
-        constant is GF(2)-linear, so each step XORs one 256-entry lookup
-        table per input byte.  Each step runs in slices of _CHUNK entries,
-        so its temporaries stay small next to the output array.
+        Built by doubling: out[B:2B] = out[:B] * base^B, one constant
+        multiply (_times) per step.  Each step runs in slices of _CHUNK
+        entries, so its temporaries stay small next to the output array.
         """
         import numpy as np
 
@@ -189,16 +188,29 @@ class FieldCtx:
         step, done = base, 1
         while done < count:
             size = min(done, count - done)
-            tabs = [np.array(tab, dtype=np.int64) for tab in self._byte_tables(step)]
+            times = self._times(step)
             for lo in range(0, size, _CHUNK):
-                src = out[lo:min(lo + _CHUNK, size)]
-                dst = out[done + lo:done + lo + len(src)]
-                dst[:] = tabs[0][src & 0xFF]
-                for t in range(1, len(tabs)):
-                    dst ^= tabs[t][(src >> 8 * t) & 0xFF]
+                hi = min(lo + _CHUNK, size)
+                out[done + lo:done + hi] = times(out[lo:hi])
             step = self.mul(step, step)
             done += size
         return out
+
+    def _times(self, c: int):
+        """The map src -> src * c on numpy int64 element arrays: multiplying
+        by c is GF(2)-linear, so the product XORs one 256-entry lookup table
+        per input byte."""
+        import numpy as np
+
+        tabs = [np.array(tab, dtype=np.int64) for tab in self._byte_tables(c)]
+
+        def times(src):
+            out = tabs[0][src & 0xFF]
+            for t in range(1, len(tabs)):
+                out ^= tabs[t][(src >> 8 * t) & 0xFF]
+            return out
+
+        return times
 
     # -- element wrappers --------------------------------------------------
 

@@ -13,14 +13,15 @@ Exponents are first reduced mod 2^n - 1, and residues that occur an even
 number of times are dropped, since equal terms cancel in characteristic
 2.  A field with n <= 16 is one block: its columns (g^k)^e are cached as
 uint16 arrays, so repeated small sweeps cost a few xors.  A larger field
-gathers each block from the antilog table and keeps nothing, so a sweep
-holds the table, the 2^n-entry hit bitmap and one block.
+reads no antilog table: each column is geometric in k, so each block is
+the previous one times a constant, and a sweep holds the 2^n-entry hit
+bitmap and one block per exponent.
 
 Branch points are reported as images of critical points found among the
-field points plus infinity.  Each ramification call scans the field
-once: it tabulates (point, image, index) for every point, evaluating g
-once per point, and the branch points, fibers, profile and report are
-filters over that table.  The underlying definitions live over the
+field points plus infinity.  A ramification scan tabulates (point,
+image, index) for every point, evaluating g once per point, and keeps
+the last table; the branch points, fibers, profile and report of one map
+are filters over it.  The underlying definitions live over the
 algebraic closure; for the maps in scope every critical point lies in
 F_4, a subfield of every GF(2^(2m)), so the concrete sweep sees them all.
 Inseparable maps such as x -> x^2 (where every point is critical) are
@@ -109,23 +110,16 @@ def _reduced_exponents(order: int, exponents) -> list[int]:
     return sorted(odd)
 
 
-@functools.cache
-def _antilog_u16(n: int):
-    """The antilog table of GF(2^n) as a read-only uint16 array (n <= 16)."""
-    import numpy as np
-
-    table = make_field(n).exp_array().astype(np.uint16)
-    table.flags.writeable = False
-    return table
-
-
 @functools.lru_cache(maxsize=64)
 def _column(n: int, e: int):
     """(g^k)^e for k = 0 .. 2^n - 2 as a read-only uint16 array (one-block fields)."""
     import numpy as np
 
     order = (1 << n) - 1
-    col = _antilog_u16(n)[np.arange(order, dtype=np.int64) * e % order]
+    if e == 1:
+        col = make_field(n).exp_array().astype(np.uint16)
+    else:
+        col = _column(n, 1)[np.arange(order, dtype=np.int64) * e % order]
     col.flags.writeable = False
     return col
 
@@ -134,8 +128,9 @@ def _power_sum_blocks(ctx: FieldCtx, exponents):
     """Yield (xs, values) per block of discrete logs k: the points x = g^k
     and the xor of x^e over the exponents at each.
 
-    A one-block field xors cached columns; a larger field gathers each
-    block from the antilog table and keeps nothing.
+    A one-block field xors cached columns.  A larger field advances each
+    column (g^k)^e, e = 1 giving the points, by one multiply by g^(_BLOCK e)
+    per block, and keeps nothing field-sized.
     """
     import numpy as np
 
@@ -145,15 +140,24 @@ def _power_sum_blocks(ctx: FieldCtx, exponents):
         values = np.zeros(order, dtype=np.uint16)
         for e in exps:
             values ^= _column(ctx.n, e)
-        yield _antilog_u16(ctx.n), values
+        yield _column(ctx.n, 1), values
         return
-    table = ctx.exp_array()
+    g = ctx.generator()
+    cols = [ctx.powers(ctx.pow(g, e), _BLOCK) for e in [1, *exps]]
+    steps = [ctx._times(ctx.pow(g, _BLOCK * e)) for e in [1, *exps]]
+    ones = 0
     for lo in range(0, order, _BLOCK):
-        ks = np.arange(lo, min(lo + _BLOCK, order), dtype=np.int64)
-        values = np.zeros(len(ks), dtype=np.int64)
-        for e in exps:
-            values ^= table[ks * e % order]
-        yield table[lo:lo + len(ks)], values
+        if lo:
+            cols = [times(col) for times, col in zip(steps, cols)]
+        xs = cols[0][:order - lo]
+        values = np.zeros(len(xs), dtype=np.int64)
+        for col in cols[1:]:
+            values ^= col[:len(xs)]
+        ones += int(np.count_nonzero(xs == 1))
+        yield xs, values
+    # g^k = 1 only at k = 0 and again at k = order: g has order 2^n - 1
+    if ones != 1 or ctx.mul(int(xs[-1]), g) != 1:
+        raise AssertionError("generator order mismatch")
 
 
 def power_sum_table(ctx: FieldCtx, exponents) -> list[int]:
@@ -395,16 +399,17 @@ def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> 
     return ctx.elem(ctx.mul(npv, dv) ^ ctx.mul(nv, dpv))
 
 
-def _ramification_table(g: RationalMap, ctx: FieldCtx) -> list[tuple]:
+@functools.lru_cache(maxsize=1)
+def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
     """(point, image, index) for every field point in bit order, then for
-    infinity; g is evaluated once per point."""
+    infinity; g is evaluated once per point, and the last table is kept."""
     table = []
     for bits in range(1 << ctx.n):
         value = g.eval_bits(ctx, bits)
         image = value if value is INFINITY else ctx.elem(value)
         table.append((ctx.elem(bits), image, _index_at(g, bits, value, ctx)))
     table.append((INFINITY, g.value_at_infinity(ctx), ramification_index(g, INFINITY, ctx)))
-    return table
+    return tuple(table)
 
 
 def branch_points_of_map(g: RationalMap, ctx: FieldCtx) -> set:
@@ -425,10 +430,9 @@ def fiber_indices(g: RationalMap, beta: ProjPoint, ctx: FieldCtx) -> list[int]:
 
 def ramification_profile(spec: FamilySpec, ctx: FieldCtx) -> dict:
     """Map each branch point to the sorted indices over its concrete fiber."""
-    table = _ramification_table(g_map(spec), ctx)
-    branch = {image for _, image, e in table if e > 1}
+    g = g_map(spec)
     # keys in the branch set's iteration order: gcheck's output follows it
-    return {beta: sorted(e for _, image, e in table if image == beta) for beta in branch}
+    return {beta: fiber_indices(g, beta, ctx) for beta in branch_points_of_map(g, ctx)}
 
 
 def ramification_report(spec: FamilySpec, ctx: FieldCtx) -> list[dict]:

@@ -117,6 +117,18 @@ def test_gcheck_json(capsys):
     assert all(idx == [11] for idx in data["result"]["branch_profile"].values())
 
 
+def test_gcheck_scans_the_field_once(capsys):
+    # the report and the profile share one ramification table per invocation
+    from pentaperm import oracle
+
+    oracle._ramification_table.cache_clear()
+    for builds, argv in enumerate([("B", "5", "6", "4"), ("A", "3", "1", "3")], 1):
+        cls, i, j, m = argv
+        code, _ = run_cli(capsys, "gcheck", "--class", cls, "--i", i, "--j", j, "--m", m)
+        assert code == 0
+        assert oracle._ramification_table.cache_info().misses == builds
+
+
 def test_equiv_json(capsys):
     code, out = run_cli(capsys, "--format", "json", "equiv", "--class", "B",
                         "--i", "5", "--j", "6", "--m", "2")

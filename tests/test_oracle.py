@@ -7,6 +7,7 @@ import sys
 import textwrap
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import all_specs
 from pentaperm import oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
-from pentaperm.field import make_field, omega, unit_circle
+from pentaperm.field import FieldCtx, make_field, omega, unit_circle
 from pentaperm.gf2poly import BinPoly
 from pentaperm.oracle import (
     INFINITY,
@@ -108,9 +109,9 @@ def test_monomials_permute_equals_enumeration(block, case):
 
 
 def test_sweep_memory_is_the_antilog_table_plus_one_block():
-    # at n = 22 the antilog table is 32 MiB of int64; building it and
-    # sweeping may add the bitmap and one block, not further field-sized
-    # int64 arrays (ru_maxrss is in KiB on Linux)
+    # the bound is the 32 MiB int64 antilog table of n = 22 plus as much
+    # again; the sweep builds no such table, so it holds the 2^n-entry
+    # bitmap and a few blocks (ru_maxrss is in KiB on Linux)
     code = textwrap.dedent("""
         import resource
         import numpy
@@ -129,6 +130,55 @@ def test_sweep_memory_is_the_antilog_table_plus_one_block():
     verdict, grown = out.stdout.split()
     assert verdict == str(theorem_verdict(FamilySpec("B", 5, 6), 11).predicted)
     assert int(grown) <= 2 * 8 * ((1 << 22) - 1)
+
+
+def test_sweep_memory_at_n24_is_the_bitmap_plus_a_few_blocks():
+    # the 2^24-entry bool bitmap is 16 MiB; a 128 MiB antilog table, or any
+    # other field-sized int64 array, breaks the bound
+    code = textwrap.dedent("""
+        import resource
+        import numpy
+        from pentaperm.families import FamilySpec, f_exponents
+        from pentaperm.oracle import monomials_permute
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        verdict = monomials_permute(24, f_exponents(FamilySpec("B", 5, 6), 12))
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(verdict, (after - before) * 1024)
+    """)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    verdict, grown = out.stdout.split()
+    assert verdict == str(theorem_verdict(FamilySpec("B", 5, 6), 12).predicted)
+    assert int(grown) <= 2 * (1 << 24)
+
+
+def test_multi_block_points_cover_the_field_once():
+    ctx = make_field(18)
+    xs = np.concatenate([xs for xs, _ in oracle._power_sum_blocks(ctx, [3])])
+    assert len(xs) == ctx.order
+    assert np.array_equal(np.sort(xs), np.arange(1, 1 << 18))
+
+
+def test_multi_block_power_sum_table_at_seeded_points(rng):
+    ctx = make_field(18, 9)
+    exps = [*f_exponents(FamilySpec("B", 5, 6), 9), ctx.order + 7, 1 << 20]
+    table = power_sum_table(ctx, exps)
+    for x in [0, 1] + [rng.randrange(1 << 18) for _ in range(998)]:
+        want = 0
+        for e in exps:
+            want ^= ctx.pow(x, e)
+        assert table[x] == want
+
+
+def test_multi_block_sweep_refuses_a_non_generator(monkeypatch):
+    ctx = make_field(18)
+    not_generator = ctx.pow(ctx.generator(), 3)
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        list(oracle._power_sum_blocks(ctx, [1, 5]))
 
 
 def test_brute_row2_at_m2():
