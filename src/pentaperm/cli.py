@@ -158,7 +158,10 @@ def cmd_check(args, cfg: RunConfig) -> Report:
 
 def cmd_condition(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
-    cond = theory.m_condition(spec)
+    try:
+        cond = theory.m_condition(spec)
+    except ValueError as exc:
+        _usage_error(str(exc))
     params = {"class": spec.cls, "i": spec.i, "j": spec.j}
     return Report(0, [_record("condition", params, json.loads(cond.to_json()), None)],
                   f"family {spec.cls} (i={spec.i}, j={spec.j}), t={spec.t}: "

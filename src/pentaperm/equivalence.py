@@ -8,6 +8,20 @@ coefficients involved; verification replays the factorization over the
 whole field, so a verified certificate is an exhaustively checked proof
 of linear equivalence for that (family, m).
 
+Replay is vectorized over numpy blocks of oracle's power-sum walk, and
+every linearized map is a field.LinearMap.  Monomial replay walks
+u = L2(x) = g^k in discrete-log order, where the walk also yields u^e,
+and compares L1(u^e) with f at L2^-1(u) (L2 inverted by elimination), f
+being a numpy table in bit order.  Bivariate replay reports the status
+at the first failing x in bit order, checking at each x "leaves-subfield",
+then "not-injective", then "mismatch".  The two structural conditions are
+GF(2)-linear in x, so the first x failing either is a power of two, 2^b,
+read off the n basis images: b is the first bit whose image leaves
+GF(2^m)^2 or does not raise the rank.  Mismatches are then sought only
+below 2^b, walking x and f(x) from the power sum; u^e and v^e come from a
+q-entry power table of the subfield, looked up with searchsorted.  x = 0
+is checked by scalar pow.
+
 Certificates are searched over a coefficient pool, by default the four
 elements of F_4, since every known explicit certificate uses them; pool
 exhaustion is reported as None rather than treated as nonexistence.
@@ -20,8 +34,8 @@ import json
 from dataclasses import dataclass
 
 from .families import FamilySpec, f_exponents
-from .field import FieldCtx, FieldElem, make_field, omega
-from .oracle import power_sum_table
+from .field import FieldCtx, FieldElem, LinearMap, make_field, omega
+from .oracle import _power_sum_array, _power_sum_blocks
 from .theory import r_closed_form
 
 __all__ = [
@@ -97,20 +111,20 @@ def f4_pool(ctx: FieldCtx) -> tuple[FieldElem, ...]:
     return tuple(ctx.elem(b) for b in sorted({0, 1, w.bits, ctx.sqr(w.bits)}))
 
 
-def _linearized_invertible(ctx: FieldCtx, a: int, b: int) -> bool:
-    # a x + b x^q is invertible iff a^(q+1) != b^(q+1)
-    q = 1 << ctx.subfield_m
-    return ctx.pow(a, q + 1) != ctx.pow(b, q + 1)
+def _monomial_matches(ctx, ftab, l1: LinearMap, l2_inverse: LinearMap, e: int) -> bool:
+    """Whether L1(L2(x)^e) = f(x) at every x, with f in bit order in ftab.
 
+    x = 0 is checked by scalar pow (0^e = 0 for e != 0); every other point
+    is walked as u = L2(x) = g^k in discrete-log order, where the blocks of
+    the power sum of x^e give u^e, and compared block by block with f at
+    L2^-1(u).  Returns at the first block with a mismatch.
+    """
+    import numpy as np
 
-def _monomial_matches(ctx, fvals, a1, b1, a2, b2, e, xs) -> bool:
-    # ctx.pow reduces e mod 2^n - 1 only for nonzero bases, which is exactly
-    # the semantics of an unreduced positive exponent
-    for x in xs:
-        u = ctx.mul(a2, x) ^ ctx.mul(b2, ctx.frob_q(x))
-        p = ctx.pow(u, e)
-        y = ctx.mul(a1, p) ^ ctx.mul(b1, ctx.frob_q(p))
-        if y != fvals[x]:
+    if l1(ctx.pow(0, e)) != ftab[0]:
+        return False
+    for us, powers in _power_sum_blocks(ctx, [e]):
+        if np.any(l1.apply(powers) != ftab[l2_inverse.apply(us)]):
             return False
     return True
 
@@ -124,13 +138,13 @@ def verify_monomial_cert(cert: MonomialCert, spec: FamilySpec, m: int) -> bool:
     if m % 2:
         raise ValueError("monomial certificates apply to even m")
     ctx = make_field(2 * m, m)
+    maps = {}
     for name, (a, b) in (("L1", (cert.a1, cert.b1)), ("L2", (cert.a2, cert.b2))):
-        if not _linearized_invertible(ctx, a.bits, b.bits):
+        maps[name] = ctx.linearized(a.bits, b.bits)
+        if maps[name].rank() < ctx.n:
             raise CertificateError("not-invertible", f"{name} is not a permutation")
-    fvals = power_sum_table(ctx, f_exponents(spec, m))
-    return _monomial_matches(
-        ctx, fvals, cert.a1.bits, cert.b1.bits, cert.a2.bits, cert.b2.bits,
-        cert.e, range(1 << ctx.n))
+    ftab = _power_sum_array(ctx, f_exponents(spec, m))
+    return _monomial_matches(ctx, ftab, maps["L1"], maps["L2"].inverse(), cert.e)
 
 
 def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | None:
@@ -145,38 +159,94 @@ def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = monomial_exponent(spec, m)
-    fvals = power_sum_table(ctx, f_exponents(spec, m))
+    ftab = _power_sum_array(ctx, f_exponents(spec, m))
     samples = [b for b in (1, 2, 3, 5) if b < (1 << ctx.n)]
-    everything = range(1 << ctx.n)
+    # each linearized map and its inverse (None if singular), built once
+    maps = {ab: ctx.linearized(*ab) for ab in itertools.product(pool_bits, repeat=2)}
+    inverses = {ab: lin.inverse() for ab, lin in maps.items()}
     for a1, b1, a2, b2 in itertools.product(pool_bits, repeat=4):
-        if not (_linearized_invertible(ctx, a1, b1)
-                and _linearized_invertible(ctx, a2, b2)):
+        l1, l2, l2_inverse = maps[a1, b1], maps[a2, b2], inverses[a2, b2]
+        if inverses[a1, b1] is None or l2_inverse is None:
             continue
-        if not _monomial_matches(ctx, fvals, a1, b1, a2, b2, e, samples):
+        if any(l1(ctx.pow(l2(x), e)) != ftab[x] for x in samples):
             continue
-        if _monomial_matches(ctx, fvals, a1, b1, a2, b2, e, everything):
+        if _monomial_matches(ctx, ftab, l1, l2_inverse, e):
             return MonomialCert(ctx.elem(a1), ctx.elem(b1),
                                 ctx.elem(a2), ctx.elem(b2), e)
     return None
 
 
-def _bivariate_status(ctx, fvals, c1, c2, c3, c4, d1, d2, e, full: bool):
-    """'ok', 'leaves-subfield', 'not-injective', or 'mismatch'."""
-    seen = set()
-    for x in range(1 << ctx.n):
-        fx = ctx.frob_q(x)
-        u = ctx.mul(c1, fx) ^ ctx.mul(c2, x)
-        v = ctx.mul(c3, fx) ^ ctx.mul(c4, x)
-        if ctx.frob_q(u) != u or ctx.frob_q(v) != v:
-            return "leaves-subfield"
-        if full:
-            if (u, v) in seen:
-                return "not-injective"
-            seen.add((u, v))
-        y = ctx.mul(d1, ctx.pow(u, e)) ^ ctx.mul(d2, ctx.pow(v, e))
-        if y != fvals[x]:
-            return "mismatch"
-    return "ok"
+def _first_structural_failure(ctx, u: LinearMap, v: LinearMap) -> tuple[int, str]:
+    """(b, status) at the first x in bit order where x -> (u(x), v(x)) leaves
+    GF(q)^2 or repeats an earlier value, or (n, "ok") if it never does.
+
+    Both conditions are GF(2)-linear, so the first such x is a power of
+    two, 2^b: the first basis bit whose image leaves the subfield, or whose
+    joint image does not raise the rank.  At the same bit, leaving the
+    subfield comes first.
+    """
+    frob = ctx.frobenius()
+    leaves = next((k for k, (a, b) in enumerate(zip(u.images, v.images))
+                   if frob(a) != a or frob(b) != b), ctx.n)
+    joint = LinearMap(a << ctx.n | b for a, b in zip(u.images, v.images))
+    dependent = joint.first_dependent_bit()
+    if dependent is not None and dependent < leaves:
+        return dependent, "not-injective"
+    if leaves < ctx.n:
+        return leaves, "leaves-subfield"
+    return ctx.n, "ok"
+
+
+def _subfield_power_table(ctx, e: int):
+    """(elements, powers): GF(q) in sorted bit order and each element's e-th
+    power, aligned, so x^e of subfield arrays is a searchsorted lookup."""
+    import numpy as np
+
+    q = 1 << ctx.subfield_m
+    h = ctx.pow(ctx.generator(), q + 1)  # the norm image generates GF(q)*
+    elements = np.concatenate(([0], ctx.powers(h, q - 1)))
+    powers = np.concatenate(([ctx.pow(0, e)], ctx.powers(ctx.pow(h, e), q - 1)))
+    order = np.argsort(elements)
+    return elements[order], powers[order]
+
+
+def _bivariate_mismatches(ctx, exponents, u, v, table, combiners, limit) -> list[bool]:
+    """For each combiner (d1, d2): whether d1 u(x)^e + d2 v(x)^e differs from
+    f(x) at some x < limit, with table from _subfield_power_table.
+
+    u and v must land in GF(q) below limit.  x = 0 is checked by scalar
+    pow; the other points are walked in the blocks of f's power sum, and
+    each block's u^e and v^e serve every combiner still undecided.
+    """
+    import numpy as np
+
+    elements, powers = table
+    muls = [(ctx._times(d1), ctx._times(d2)) for d1, d2 in combiners]
+    bad = [ctx.mul(d1 ^ d2, int(powers[0])) != 0 for d1, d2 in combiners]
+    for xs, fx in _power_sum_blocks(ctx, exponents):
+        if all(bad):
+            break
+        if limit < 1 << ctx.n:
+            below = xs < limit
+            xs, fx = xs[below], fx[below]
+        ue = powers[np.searchsorted(elements, u.apply(xs))]
+        ve = powers[np.searchsorted(elements, v.apply(xs))]
+        for k, (t1, t2) in enumerate(muls):
+            if not bad[k] and np.any(t1.apply(ue) ^ t2.apply(ve) != fx):
+                bad[k] = True
+    return bad
+
+
+def _bivariate_status(ctx, exponents, c1, c2, c3, c4, d1, d2, e) -> str:
+    """'ok', 'leaves-subfield', 'not-injective', or 'mismatch': the status
+    at the first failing x in bit order, so a mismatch counts only below
+    the first structural failure."""
+    u, v = ctx.linearized(c2, c1), ctx.linearized(c4, c3)
+    b, status = _first_structural_failure(ctx, u, v)
+    table = _subfield_power_table(ctx, e)
+    if _bivariate_mismatches(ctx, exponents, u, v, table, [(d1, d2)], 1 << b)[0]:
+        return "mismatch"
+    return status
 
 
 def verify_bivariate_cert(cert: BivariateCert, spec: FamilySpec, m: int) -> bool:
@@ -198,10 +268,9 @@ def verify_bivariate_cert(cert: BivariateCert, spec: FamilySpec, m: int) -> bool
     if ctx.frob_q(ratio) == ratio:
         raise CertificateError("degenerate-combiner",
                                "combiner coefficients are base-field proportional")
-    fvals = power_sum_table(ctx, f_exponents(spec, m))
     status = _bivariate_status(
-        ctx, fvals, cert.c1.bits, cert.c2.bits, cert.c3.bits, cert.c4.bits,
-        d1, d2, cert.e, full=True)
+        ctx, f_exponents(spec, m), cert.c1.bits, cert.c2.bits, cert.c3.bits,
+        cert.c4.bits, d1, d2, cert.e)
     if status == "leaves-subfield":
         raise CertificateError("component-leaves-subfield")
     if status == "not-injective":
@@ -223,32 +292,32 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = spec.t
-    fvals = power_sum_table(ctx, f_exponents(spec, m))
-
-    def components_land(c1, c2) -> bool:
-        for x in (1, 2, 3):
-            fx = ctx.frob_q(x)
-            u = ctx.mul(c1, fx) ^ ctx.mul(c2, x)
-            if ctx.frob_q(u) != u:
-                return False
-        return True
-
+    exponents = f_exponents(spec, m)
+    table = _subfield_power_table(ctx, e)
+    frob = ctx.frobenius()
+    # components c x^q + c' x that land in GF(q) at every x, in scan order
+    components = {}
     for c1, c2 in itertools.product(pool_bits, repeat=2):
-        if not components_land(c1, c2):
-            continue
-        for c3, c4 in itertools.product(pool_bits, repeat=2):
-            if not components_land(c3, c4):
+        lin = ctx.linearized(c2, c1)
+        if all(frob(img) == img for img in lin.images):
+            components[c1, c2] = lin
+    combiners = []
+    for d1, d2 in itertools.product(pool_bits, repeat=2):
+        if d1 and d2:
+            ratio = ctx.mul(d2, ctx.inv(d1))
+            if frob(ratio) != ratio:
+                combiners.append((d1, d2))
+    # a structural failure fails every combiner, so only sound L2 are
+    # replayed, once each for all combiners; the first that survives wins
+    for (c1, c2), u in components.items():
+        for (c3, c4), v in components.items():
+            if _first_structural_failure(ctx, u, v)[1] != "ok":
                 continue
-            for d1, d2 in itertools.product(pool_bits, repeat=2):
-                if d1 == 0 or d2 == 0:
-                    continue
-                ratio = ctx.mul(d2, ctx.inv(d1))
-                if ctx.frob_q(ratio) == ratio:
-                    continue
-                status = _bivariate_status(ctx, fvals, c1, c2, c3, c4,
-                                           d1, d2, e, full=True)
-                if status == "ok":
-                    return BivariateCert(
-                        ctx.elem(c1), ctx.elem(c2), ctx.elem(c3), ctx.elem(c4),
-                        ctx.elem(d1), ctx.elem(d2), e)
+            bad = _bivariate_mismatches(ctx, exponents, u, v, table, combiners,
+                                        1 << ctx.n)
+            if not all(bad):
+                d1, d2 = combiners[bad.index(False)]
+                return BivariateCert(
+                    ctx.elem(c1), ctx.elem(c2), ctx.elem(c3), ctx.elem(c4),
+                    ctx.elem(d1), ctx.elem(d2), e)
     return None

@@ -8,13 +8,22 @@ classes stored as plain bit masks; the FieldElem wrapper carries a context
 reference and refuses cross-context arithmetic.  make_field(2m, m) is a
 second view of make_field(2m) that shares all of its tables.
 
+Every GF(2)-linear map of the field is one kernel, LinearMap: the images
+of the n basis bits, folded into one 256-entry table per input byte and
+XORed together, applied to a scalar or to a numpy array.  Multiplication
+by a constant (FieldCtx._times), the fold that reduces a carryless
+product, the Frobenius x -> x^q (FieldCtx.frobenius) and the linearized
+binomials a x + b x^q (FieldCtx.linearized) are all instances.  Gaussian
+elimination on the image bit masks gives a map's rank, its first
+dependent basis bit, and its inverse.
+
 Every list of powers of one element (the antilog table, the unit circle,
 the subfield's multiplicative group) comes from FieldCtx.powers, which
-doubles a numpy array by multiplying its first half by a constant through
-per-byte lookup tables (FieldCtx._times, which also advances oracle's
-sweep blocks).  For n <= 16 a context also keeps the antilog table, and
-the log table derived from it, as Python lists for scalar multiplication;
-larger fields multiply via carryless word products and byte-table folds.
+doubles a numpy array by multiplying its first half by a constant (the
+same constant multiply advances oracle's sweep blocks).  For n <= 16 a
+context also keeps the antilog table, and the log table derived from it,
+as Python lists for scalar multiplication; larger fields multiply via
+carryless word products and the fold map.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ __all__ = [
     "LOG_TABLE_MAX_N",
     "FieldCtx",
     "FieldElem",
+    "LinearMap",
     "make_field",
     "elem_mul",
     "elem_inv",
@@ -84,12 +94,97 @@ def canonical_modulus(n: int) -> int:
     return c
 
 
+class LinearMap:
+    """A GF(2)-linear map on bit masks, given by the images of the basis bits.
+
+    x maps to the xor of images[k] over the set bits k of x.  The images are
+    folded into one table per input byte, tables[t][b] being the image of
+    b << 8t, so a scalar costs one lookup per byte and a numpy array one
+    gather per byte.  Inputs must have fewer than len(images) bits.
+    """
+
+    __slots__ = ("images", "tables", "_arrays")
+
+    def __init__(self, images):
+        self.images = tuple(images)
+        self.tables = []
+        for lo in range(0, len(self.images), 8):
+            tab = [0]
+            for img in self.images[lo:lo + 8]:
+                tab += [v ^ img for v in tab]
+            self.tables.append(tab)
+        self._arrays = None
+
+    def __call__(self, x: int) -> int:
+        out = 0
+        for tab in self.tables:
+            out ^= tab[x & 0xFF]
+            x >>= 8
+        return out
+
+    def apply(self, src):
+        """The map on a numpy integer array, as a new int64 array."""
+        if self._arrays is None:
+            import numpy as np
+
+            self._arrays = [np.array(tab, dtype=np.int64) for tab in self.tables]
+        out = self._arrays[0][src & 0xFF]
+        for t in range(1, len(self._arrays)):
+            out ^= self._arrays[t][(src >> 8 * t) & 0xFF]
+        return out
+
+    def _echelon(self):
+        # Gaussian elimination on the images in bit order: pivots
+        # {leading bit: (image, source)} with self(source) = image, and the
+        # first k whose image lies in the span of the images before it
+        pivots: dict[int, tuple[int, int]] = {}
+        first_dependent = None
+        for k, img in enumerate(self.images):
+            src = 1 << k
+            while img:
+                top = img.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = (img, src)
+                    break
+                img ^= pivots[top][0]
+                src ^= pivots[top][1]
+            else:
+                if first_dependent is None:
+                    first_dependent = k
+        return pivots, first_dependent
+
+    def rank(self) -> int:
+        return len(self._echelon()[0])
+
+    def first_dependent_bit(self) -> int | None:
+        """Least k with images[k] in the span of images[:k], or None if the
+        map is injective.  Then 2^k is the least x whose image is the image
+        of some y < x (x ^ y is in the kernel, with leading bit k)."""
+        return self._echelon()[1]
+
+    def inverse(self) -> "LinearMap | None":
+        """The inverse of a map of n-bit masks onto n-bit masks, or None
+        when the rank is below n."""
+        pivots, first_dependent = self._echelon()
+        if first_dependent is not None:
+            return None
+        images = []
+        for j in range(len(self.images)):
+            val, src = 1 << j, 0
+            while val:
+                img, s = pivots[val.bit_length() - 1]
+                val ^= img
+                src ^= s
+            images.append(src)
+        return LinearMap(images)
+
+
 class FieldCtx:
     """Immutable description of GF(2^n); build via :func:`make_field`."""
 
     __slots__ = (
         "n", "modulus", "order", "subfield_m", "_plain",
-        "_exp", "_log", "_gen", "_fold", "_exp_np",
+        "_exp", "_log", "_gen", "_fold", "_exp_np", "_frob",
     )
 
     def __init__(self, n: int, modulus: int, subfield_m, plain: "FieldCtx | None" = None):
@@ -97,6 +192,7 @@ class FieldCtx:
         self.modulus = modulus
         self.order = (1 << n) - 1
         self.subfield_m = subfield_m
+        self._frob = None
         # a subfield context is a second view of the plain context of its
         # degree: it shares every table, and builds missing ones on it
         self._plain = plain
@@ -105,8 +201,8 @@ class FieldCtx:
                 plain._exp, plain._log, plain._gen, plain._fold, plain._exp_np)
             return
         self._exp = self._log = self._gen = self._exp_np = None
-        # fold[t][byte] = byte * x^(n + 8t) mod modulus, for the high part
-        self._fold = self._byte_tables(modulus ^ (1 << n))
+        # the high part h of a product stands for h * x^n = h * (x^n mod modulus)
+        self._fold = self._times(modulus ^ (1 << n))
         if n <= LOG_TABLE_MAX_N:
             self._build_tables()
 
@@ -146,11 +242,7 @@ class FieldCtx:
         return r
 
     def frob_q(self, a: int) -> int:
-        if self.subfield_m is None:
-            raise ValueError("context has no subfield structure")
-        for _ in range(self.subfield_m):
-            a = self.mul(a, a)
-        return a
+        return self.frobenius()(a)
 
     def eval_poly_bits(self, poly_bits: int, x: int) -> int:
         """Horner evaluation of a GF(2)[x] polynomial at the element x."""
@@ -191,26 +283,42 @@ class FieldCtx:
             times = self._times(step)
             for lo in range(0, size, _CHUNK):
                 hi = min(lo + _CHUNK, size)
-                out[done + lo:done + hi] = times(out[lo:hi])
+                out[done + lo:done + hi] = times.apply(out[lo:hi])
             step = self.mul(step, step)
             done += size
         return out
 
-    def _times(self, c: int):
-        """The map src -> src * c on numpy int64 element arrays: multiplying
-        by c is GF(2)-linear, so the product XORs one 256-entry lookup table
-        per input byte."""
-        import numpy as np
+    # -- GF(2)-linear maps ---------------------------------------------------
 
-        tabs = [np.array(tab, dtype=np.int64) for tab in self._byte_tables(c)]
+    def _times(self, c: int) -> "LinearMap":
+        """Multiplication by c: the images of the basis bits are c x^k."""
+        images = []
+        for _ in range(self.n):
+            images.append(c)
+            c <<= 1
+            if c >> self.n:
+                c ^= self.modulus
+        return LinearMap(images)
 
-        def times(src):
-            out = tabs[0][src & 0xFF]
-            for t in range(1, len(tabs)):
-                out ^= tabs[t][(src >> 8 * t) & 0xFF]
-            return out
+    def frobenius(self) -> "LinearMap":
+        """x -> x^q over the subfield GF(q), q = 2^m, built once per context
+        from m squarings of each basis bit."""
+        if self._frob is None:
+            if self.subfield_m is None:
+                raise ValueError("context has no subfield structure")
+            images = []
+            for k in range(self.n):
+                a = 1 << k
+                for _ in range(self.subfield_m):
+                    a = self.mul(a, a)
+                images.append(a)
+            self._frob = LinearMap(images)
+        return self._frob
 
-        return times
+    def linearized(self, a: int, b: int) -> "LinearMap":
+        """The linearized binomial x -> a x + b x^q."""
+        frob = self.frobenius().images
+        return LinearMap(self.mul(a, 1 << k) ^ self.mul(b, frob[k]) for k in range(self.n))
 
     # -- element wrappers --------------------------------------------------
 
@@ -231,27 +339,12 @@ class FieldCtx:
 
     # -- internals ----------------------------------------------------------
 
-    def _byte_tables(self, c: int) -> list[list[int]]:
-        # tabs[t][b] = (b << 8t) * c, one table per byte of an element
-        tabs = []
-        for _ in range((self.n + 7) // 8):
-            tab = [0]
-            for _ in range(8):
-                tab += [v ^ c for v in tab]
-                c <<= 1
-                if c >> self.n:
-                    c ^= self.modulus
-            tabs.append(tab)
-        return tabs
-
     def _reduce(self, p: int) -> int:
-        lo = p & ((1 << self.n) - 1)
-        hi = p >> self.n
-        t = 0
-        while hi:
-            lo ^= self._fold[t][hi & 0xFF]
+        # the fold map applied inline: this is the hot path of scalar mul
+        lo, hi = p & self.order, p >> self.n
+        for tab in self._fold.tables:
+            lo ^= tab[hi & 0xFF]
             hi >>= 8
-            t += 1
         return lo
 
     def _build_tables(self):
@@ -273,9 +366,14 @@ class FieldCtx:
         if self._exp_np is None:
             owner = self._plain or self
             if owner._exp_np is None:
+                import numpy as np
+
                 g = owner.generator()
                 arr = owner.powers(g, owner.order)
-                if owner.mul(int(arr[-1]), g) != 1:
+                # g has order 2^n - 1: 1 occurs only at k = 0, and the walk
+                # closes (the closure alone holds for every nonzero g)
+                if (int(np.count_nonzero(arr == 1)) != 1
+                        or owner.mul(int(arr[-1]), g) != 1):
                     raise AssertionError("generator order mismatch")
                 owner._exp_np = arr
             self._exp_np = owner._exp_np

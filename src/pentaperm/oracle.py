@@ -148,7 +148,7 @@ def _power_sum_blocks(ctx: FieldCtx, exponents):
     ones = 0
     for lo in range(0, order, _BLOCK):
         if lo:
-            cols = [times(col) for times, col in zip(steps, cols)]
+            cols = [times.apply(col) for times, col in zip(steps, cols)]
         xs = cols[0][:order - lo]
         values = np.zeros(len(xs), dtype=np.int64)
         for col in cols[1:]:
@@ -162,12 +162,17 @@ def _power_sum_blocks(ctx: FieldCtx, exponents):
 
 def power_sum_table(ctx: FieldCtx, exponents) -> list[int]:
     """xor of x^e over the positive exponents at every x, indexed by x's bit mask."""
+    return _power_sum_array(ctx, exponents).tolist()
+
+
+def _power_sum_array(ctx: FieldCtx, exponents):
+    """power_sum_table as a numpy array (uint32 up to n = 32)."""
     import numpy as np
 
-    out = np.zeros(1 << ctx.n, dtype=np.int64)
+    out = np.zeros(1 << ctx.n, dtype=np.uint32 if ctx.n <= 32 else np.int64)
     for xs, values in _power_sum_blocks(ctx, exponents):
         out[xs] = values
-    return out.tolist()
+    return out
 
 
 def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:

@@ -38,10 +38,16 @@ __all__ = [
     "R_DISPLAY_NOTES",
     "h_unit_roots_exist",
     "theorem_verdict",
+    "MODULUS_CEILING",
     "m_condition",
     "verify_identity_derivative",
     "verify_identity_Q",
 ]
+
+
+# Largest m-condition modulus whose residues m_condition enumerates: every
+# (class, i, j <= 10) needs at most 165,600, every registry row at most 66.
+MODULUS_CEILING = 1 << 18
 
 
 class PropertyViolation(RuntimeError):
@@ -219,19 +225,29 @@ class MCondition:
         }, sort_keys=True)
 
 
+def _condition_modulus(spec: FamilySpec) -> int:
+    """lcm(2, ord_2(p)) over the primes p of t*(t - 2r)."""
+    r = r_closed_form(spec)
+    modulus = 2
+    for p in set(prime_factors(spec.t)) | set(prime_factors(spec.t - 2 * r)):
+        modulus = math.lcm(modulus, ord2_mod(p))
+    return modulus
+
+
 def m_condition(spec: FamilySpec) -> MCondition:
     """Exact residue-class condition on m, derived then minimized.
 
     The working modulus is lcm(2, ord_2(p)) over the primes p of
     t*(t - 2r): p divides 2^m - 1 iff ord_2(p) | m, and p divides
     2^m + 1 iff ord_2(p) is even and m = ord_2(p)/2 (mod ord_2(p)),
-    so the verdict depends on m only through m mod that lcm.
+    so the verdict depends on m only through m mod that lcm.  Every
+    residue is enumerated, so a modulus above MODULUS_CEILING raises
+    ValueError before any is.
     """
-    t = spec.t
-    r = r_closed_form(spec)
-    modulus = 2
-    for p in set(prime_factors(t)) | set(prime_factors(t - 2 * r)):
-        modulus = math.lcm(modulus, ord2_mod(p))
+    modulus = _condition_modulus(spec)
+    if modulus > MODULUS_CEILING:
+        raise ValueError(f"m-condition modulus {modulus} exceeds the ceiling "
+                         f"{MODULUS_CEILING}")
     allowed = frozenset(
         res for res in range(modulus)
         if theorem_verdict(spec, res if res else modulus).predicted

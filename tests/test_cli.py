@@ -377,3 +377,16 @@ def test_equiv_above_brute_cap_refused_before_search(family, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["--brute-cap", "4", "equiv", *family.split()])
     assert err.value.code == 2
+
+
+def test_condition_above_modulus_ceiling_exits_2(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("residues enumerated")
+
+    monkeypatch.setattr("pentaperm.theory.theorem_verdict", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["condition", "--class", "A", "--i", "12", "--j", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "modulus 2794836 exceeds the ceiling 262144" in captured.err

@@ -1,9 +1,11 @@
 """Unit tests for linear-equivalence certificates and their searches."""
 
+import itertools
 import math
 
 import pytest
 
+from pentaperm import equivalence
 from pentaperm.equivalence import (
     BivariateCert,
     CertificateError,
@@ -15,9 +17,9 @@ from pentaperm.equivalence import (
     verify_bivariate_cert,
     verify_monomial_cert,
 )
-from pentaperm.families import FamilySpec
+from pentaperm.families import FamilySpec, f_exponents
 from pentaperm.field import make_field, omega
-from pentaperm.oracle import brute_is_permutation
+from pentaperm.oracle import _power_sum_array, brute_is_permutation, power_sum_table
 from pentaperm.theory import r_closed_form
 
 FAMILY17 = FamilySpec("B", 5, 6)
@@ -212,3 +214,104 @@ def test_f4_pool_suffices_for_every_starred_row_at_m5():
     for spec in _starred_specs():
         cert = search_bivariate_cert(spec, 5)
         assert cert is not None and verify_bivariate_cert(cert, spec, 5)
+
+
+# -- pointwise references for certificate replay ------------------------------
+
+def _frob(ctx, x):
+    # x^q by m squarings, independent of the linear-map kernel
+    for _ in range(ctx.subfield_m):
+        x = ctx.mul(x, x)
+    return x
+
+
+def monomial_matches_pointwise(ctx, fvals, a1, b1, a2, b2, e):
+    """L1(L2(x)^e) = f(x) at every x, point by point in bit order."""
+    for x in range(1 << ctx.n):
+        u = ctx.mul(a2, x) ^ ctx.mul(b2, _frob(ctx, x))
+        p = ctx.pow(u, e)
+        if ctx.mul(a1, p) ^ ctx.mul(b1, _frob(ctx, p)) != fvals[x]:
+            return False
+    return True
+
+
+def bivariate_status_pointwise(ctx, fvals, c1, c2, c3, c4, d1, d2, e):
+    """(status, x) at the first failing x in bit order, or ("ok", None);
+    at one x, leaving the subfield comes before a repeat, then a mismatch."""
+    seen = set()
+    for x in range(1 << ctx.n):
+        fx = _frob(ctx, x)
+        u = ctx.mul(c1, fx) ^ ctx.mul(c2, x)
+        v = ctx.mul(c3, fx) ^ ctx.mul(c4, x)
+        if _frob(ctx, u) != u or _frob(ctx, v) != v:
+            return "leaves-subfield", x
+        if (u, v) in seen:
+            return "not-injective", x
+        seen.add((u, v))
+        if ctx.mul(d1, ctx.pow(u, e)) ^ ctx.mul(d2, ctx.pow(v, e)) != fvals[x]:
+            return "mismatch", x
+    return "ok", None
+
+
+REPLAY_SPECS = [FAMILY17, FamilySpec("A", 3, 1), FamilySpec("C", 2, 2), FamilySpec("B", 2, 4)]
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_monomial_replay_equals_pointwise_on_f4_pool(m):
+    ctx = make_field(2 * m, m)
+    pool = [p.bits for p in f4_pool(ctx)]
+    for spec in REPLAY_SPECS:
+        fvals = power_sum_table(ctx, f_exponents(spec, m))
+        ftab = _power_sum_array(ctx, f_exponents(spec, m))
+        for e in (monomial_exponent(spec, m), spec.t):
+            for a1, b1, a2, b2 in itertools.product(pool, repeat=4):
+                l2_inverse = ctx.linearized(a2, b2).inverse()
+                if l2_inverse is None:
+                    continue  # replay walks u = L2(x), so L2 must be invertible
+                got = equivalence._monomial_matches(
+                    ctx, ftab, ctx.linearized(a1, b1), l2_inverse, e)
+                assert got == monomial_matches_pointwise(ctx, fvals, a1, b1, a2, b2, e)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_bivariate_replay_equals_pointwise_on_f4_pool(m):
+    ctx = make_field(2 * m, m)
+    pool = [p.bits for p in f4_pool(ctx)]
+    statuses = set()
+    for spec in REPLAY_SPECS[:2]:
+        exps = f_exponents(spec, m)
+        fvals = power_sum_table(ctx, exps)
+        for tup in itertools.product(pool, repeat=6):
+            want, _ = bivariate_status_pointwise(ctx, fvals, *tup, spec.t)
+            assert equivalence._bivariate_status(ctx, exps, *tup, spec.t) == want
+            statuses.add(want)
+    assert statuses == {"ok", "leaves-subfield", "not-injective", "mismatch"}
+
+
+def test_first_structural_failure_is_at_a_power_of_two():
+    # hand-made L2 at m = 3: u = v = Tr(c x^q) repeats first where the kernel's
+    # least leading bit is, and u = c x with c in GF(8)* leaves GF(8) first at
+    # x = 2; both are past bit 0 for most c
+    m = 3
+    ctx = make_field(2 * m, m)
+    w = omega(ctx).bits
+    w2 = ctx.sqr(w)
+    cases = [(c, _frob(ctx, c), c, _frob(ctx, c)) for c in range(1 << ctx.n)]
+    cases += [(0, c, w2, w) for c in range(1 << ctx.n)]
+    zeros = [0] * (1 << ctx.n)  # with d1 = d2 = 0 nothing mismatches
+    fvals = power_sum_table(ctx, f_exponents(FAMILY17, m))
+    late = set()
+    for c1, c2, c3, c4 in cases:
+        want, x = bivariate_status_pointwise(ctx, zeros, c1, c2, c3, c4, 0, 0, 97)
+        b, got = equivalence._first_structural_failure(
+            ctx, ctx.linearized(c2, c1), ctx.linearized(c4, c3))
+        assert got == want
+        if want != "ok":
+            assert x == 1 << b
+            if b > 0:
+                late.add(want)
+        # with a real f and combiner a mismatch below 2^b comes first
+        want, _ = bivariate_status_pointwise(ctx, fvals, c1, c2, c3, c4, w, w2, 97)
+        assert equivalence._bivariate_status(
+            ctx, f_exponents(FAMILY17, m), c1, c2, c3, c4, w, w2, 97) == want
+    assert late == {"not-injective", "leaves-subfield"}

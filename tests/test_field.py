@@ -1,10 +1,15 @@
 """Unit tests for the deterministic field contexts."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pentaperm.field import (
     CANONICAL_MODULUS,
     N_CAP,
+    FieldCtx,
+    LinearMap,
     canonical_modulus,
     elem_inv,
     elem_mul,
@@ -317,3 +322,101 @@ def test_powers_of_arbitrary_base(n, rng):
         for count in (0, 1, 2, 7, 300):
             got = ctx.powers(base, count).tolist()
             assert got == [ctx.pow(base, k) for k in range(count)]
+
+
+def test_exp_array_refuses_a_non_generator(monkeypatch):
+    # a fresh context, so no antilog table is cached; g^3 has order
+    # (2^18 - 1)/3, so its walk closes but revisits 1 twice
+    ctx = FieldCtx(18, canonical_modulus(18), None)
+    not_generator = ctx.pow(make_field(18).generator(), 3)
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        ctx.exp_array()
+
+
+# -- the GF(2)-linear-map kernel -----------------------------------------------
+
+@st.composite
+def linear_maps(draw, max_n=24):
+    """n <= max_n, the images of the n basis bits, and a few inputs."""
+    n = draw(st.integers(1, max_n))
+    images = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    return images, xs
+
+
+def xor_of_images(images, x):
+    out = 0
+    for k, img in enumerate(images):
+        if x >> k & 1:
+            out ^= img
+    return out
+
+
+@given(case=linear_maps())
+def test_linear_map_is_the_xor_of_basis_images(case):
+    images, xs = case
+    lin = LinearMap(images)
+    want = [xor_of_images(images, x) for x in xs]
+    assert [lin(x) for x in xs] == want
+    got = lin.apply(np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+@given(case=linear_maps(max_n=12))
+def test_rank_and_first_dependent_bit_match_enumeration(case):
+    images, _ = case
+    lin = LinearMap(images)
+    # the first k with images[k] in the span of images[:k], by enumerating the span
+    span, first = {0}, None
+    for k, img in enumerate(images):
+        if img in span:
+            first = k if first is None else first
+        else:
+            span |= {s ^ img for s in span}
+    assert lin.first_dependent_bit() == first
+    assert 1 << lin.rank() == len(span)
+    assert (lin.inverse() is None) == (first is not None)
+
+
+@given(n=st.integers(1, 24), data=st.data())
+def test_times_is_field_multiplication(n, data):
+    ctx = make_field(n)
+    c = data.draw(st.integers(0, ctx.order))
+    xs = data.draw(st.lists(st.integers(0, ctx.order), min_size=1, max_size=20))
+    times = ctx._times(c)
+    want = [ctx.mul(c, x) for x in xs]
+    assert [times(x) for x in xs] == want
+    assert times.apply(np.array(xs, dtype=np.int64)).tolist() == want
+
+
+@given(m=st.integers(1, 12), data=st.data())
+def test_frobenius_map_is_m_squarings(m, data):
+    ctx = make_field(2 * m, m)
+    xs = data.draw(st.lists(st.integers(0, ctx.order), min_size=1, max_size=20))
+    for x in xs:
+        want = x
+        for _ in range(m):
+            want = ctx.mul(want, want)
+        assert ctx.frobenius()(x) == ctx.frob_q(x) == want
+
+
+@given(m=st.integers(1, 12), data=st.data())
+def test_linearized_map_inverse_and_rank(m, data):
+    ctx = make_field(2 * m, m)
+    q = 1 << m
+    a, b = data.draw(st.tuples(st.integers(0, ctx.order), st.integers(0, ctx.order)))
+    if data.draw(st.booleans()):
+        # force a^(q+1) = b^(q+1): b = a times an element of the unit circle
+        zeta = ctx.pow(ctx.generator(), q - 1)
+        b = ctx.mul(a, ctx.pow(zeta, data.draw(st.integers(0, q))))
+    lin = ctx.linearized(a, b)
+    xs = data.draw(st.lists(st.integers(0, ctx.order), min_size=1, max_size=20))
+    assert [lin(x) for x in xs] == [ctx.mul(a, x) ^ ctx.mul(b, ctx.frob_q(x)) for x in xs]
+    singular = ctx.pow(a, q + 1) == ctx.pow(b, q + 1)
+    assert (lin.rank() < ctx.n) == singular
+    inverse = lin.inverse()
+    assert (inverse is None) == singular
+    if inverse is not None:
+        assert [inverse(lin(x)) for x in xs] == xs
+        assert [lin(inverse(x)) for x in xs] == xs

@@ -6,7 +6,9 @@ from conftest import all_specs
 from pentaperm.families import FamilySpec, match_row, table1_registry
 from pentaperm.field import make_field, unit_circle
 from pentaperm.gf2poly import poly_eval
+from pentaperm import theory
 from pentaperm.theory import (
+    MODULUS_CEILING,
     MCondition,
     R_DISPLAY_NOTES,
     h_unit_roots_exist,
@@ -169,6 +171,23 @@ def test_m_condition_sound_and_complete():
         horizon = max(2 * cond.modulus, 4)
         for m in range(1, horizon + 1):
             assert cond.contains(m) == theorem_verdict(spec, m).predicted
+
+
+def test_condition_moduli_of_accepted_specs_stay_under_the_ceiling():
+    specs = [FamilySpec(cls, i, j) for cls in "ABC" for i in range(1, 11) for j in range(1, 11)]
+    assert max(theory._condition_modulus(s) for s in specs) == 165_600 <= MODULUS_CEILING
+    rows = [match_row(r) for r in table1_registry() if match_row(r) is not None]
+    assert max(theory._condition_modulus(s) for s in rows) == 66
+
+
+def test_m_condition_refuses_a_modulus_above_the_ceiling(monkeypatch):
+    # A(12, 1) needs 2,794,836 residues; none may be enumerated
+    def fail(*args):
+        raise AssertionError("residues enumerated")
+
+    monkeypatch.setattr(theory, "theorem_verdict", fail)
+    with pytest.raises(ValueError, match="modulus 2794836 exceeds the ceiling 262144"):
+        m_condition(FamilySpec("A", 12, 1))
 
 
 def test_mcondition_reduction_and_equivalence():
