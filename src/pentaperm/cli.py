@@ -27,6 +27,8 @@ from .field import make_field
 
 ENV_PREFIX = "PENTAPERM_"
 CONFIG_KEYS = ("brute_cap", "workers", "format", "out")
+# accepted i, j and --i-max/--j-max: H has degree about 2^i
+_IJ_RANGE = range(1, 13)
 
 
 @dataclass
@@ -96,10 +98,8 @@ def _usage_error(message: str):
 
 
 def _spec_from(args) -> FamilySpec:
-    try:
-        return FamilySpec(args.family_class, args.i, args.j)
-    except ValueError as exc:
-        _usage_error(str(exc))
+    # argparse has checked the class and i, j against _IJ_RANGE
+    return FamilySpec(args.family_class, args.i, args.j)
 
 
 def _record(kind: str, params: dict, result: dict, agrees) -> dict:
@@ -346,12 +346,11 @@ def cmd_gcheck(args, cfg: RunConfig) -> Report:
 
 def cmd_equiv(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
+    # at m = 4 the monomial search would scan 256^4 coefficient tuples
+    if args.pool == "full" and args.m > 3:
+        _usage_error("full pool only supported for 2m <= 6")
     ctx = make_field(2 * args.m, args.m)
-    pool = None
-    if args.pool == "full":
-        if ctx.n > 8:
-            _usage_error("full pool only supported for 2m <= 8")
-        pool = [ctx.elem(b) for b in range(1 << ctx.n)]
+    pool = [ctx.elem(b) for b in range(1 << ctx.n)] if args.pool == "full" else None
     params = {"class": spec.cls, "i": spec.i, "j": spec.j, "m": args.m,
               "pool": args.pool}
     kind = "monomial" if args.m % 2 == 0 else "bivariate"
@@ -422,8 +421,8 @@ def cmd_registry(args, cfg: RunConfig) -> Report:
 def _add_family_args(sub):
     sub.add_argument("--class", dest="family_class", required=True,
                      choices=families.CLASSES)
-    sub.add_argument("--i", type=int, required=True)
-    sub.add_argument("--j", type=int, required=True)
+    sub.add_argument("--i", type=int, required=True, choices=_IJ_RANGE)
+    sub.add_argument("--j", type=int, required=True, choices=_IJ_RANGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_table1)
 
     sub = commands.add_parser("identities", help="exact polynomial identity sweep")
-    sub.add_argument("--i-max", dest="i_max", type=int, default=8)
-    sub.add_argument("--j-max", dest="j_max", type=int, default=8)
+    sub.add_argument("--i-max", type=int, default=8, choices=_IJ_RANGE)
+    sub.add_argument("--j-max", type=int, default=8, choices=_IJ_RANGE)
     sub.set_defaults(func=cmd_identities)
 
     sub = commands.add_parser("rvalues", help="closed-form r vs gcd oracle sweep")
-    sub.add_argument("--i-max", dest="i_max", type=int, default=8)
-    sub.add_argument("--j-max", dest="j_max", type=int, default=8)
+    sub.add_argument("--i-max", type=int, default=8, choices=_IJ_RANGE)
+    sub.add_argument("--j-max", type=int, default=8, choices=_IJ_RANGE)
     sub.set_defaults(func=cmd_rvalues)
 
     sub = commands.add_parser("gcheck", help="unit-circle and ramification report")

@@ -202,10 +202,10 @@ def _subfield_power_table(ctx, e: int):
     power, aligned, so x^e of subfield arrays is a searchsorted lookup."""
     import numpy as np
 
-    q = 1 << ctx.subfield_m
-    h = ctx.pow(ctx.generator(), q + 1)  # the norm image generates GF(q)*
-    elements = np.concatenate(([0], ctx.powers(h, q - 1)))
-    powers = np.concatenate(([ctx.pow(0, e)], ctx.powers(ctx.pow(h, e), q - 1)))
+    sub = ctx._subgroup((1 << ctx.subfield_m) - 1)  # GF(q)* as h^k; (h^k)^e = h^(ke)
+    elements = np.concatenate(([0], sub))
+    logs = np.arange(len(sub)) * (e % len(sub)) % len(sub)
+    powers = np.concatenate(([ctx.pow(0, e)], sub[logs]))
     order = np.argsort(elements)
     return elements[order], powers[order]
 

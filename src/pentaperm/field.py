@@ -17,13 +17,18 @@ binomials a x + b x^q (FieldCtx.linearized) are all instances.  Gaussian
 elimination on the image bit masks gives a map's rank, its first
 dependent basis bit, and its inverse.
 
-Every list of powers of one element (the antilog table, the unit circle,
-the subfield's multiplicative group) comes from FieldCtx.powers, which
+Arrays of elements multiply by shift-and-add over the n bits of one
+operand (FieldCtx.mul_array) and invert by Itoh-Tsujii (inv_array), in
+about log2(n) + popcount(n - 1) multiplies and linear maps x -> x^(2^k).
+
+Every list of powers of one element comes from FieldCtx.powers, which
 doubles a numpy array by multiplying its first half by a constant (the
-same constant multiply advances oracle's sweep blocks).  For n <= 16 a
-context also keeps the antilog table, and the log table derived from it,
-as Python lists for scalar multiplication; larger fields multiply via
-carryless word products and the fold map.
+same constant multiply advances oracle's sweep blocks).  The antilog
+table, the unit circle and the subfield's multiplicative group are
+cyclic subgroups from FieldCtx._subgroup, which checks their generator's
+order.  For n <= 16 a context also keeps the antilog table, and the log
+table derived from it, as Python lists for scalar multiplication; larger
+fields multiply via carryless word products and the fold map.
 """
 
 from __future__ import annotations
@@ -184,7 +189,7 @@ class FieldCtx:
 
     __slots__ = (
         "n", "modulus", "order", "subfield_m", "_plain",
-        "_exp", "_log", "_gen", "_fold", "_exp_np", "_frob",
+        "_exp", "_log", "_gen", "_fold", "_exp_np", "_squarings_cache",
     )
 
     def __init__(self, n: int, modulus: int, subfield_m, plain: "FieldCtx | None" = None):
@@ -192,15 +197,16 @@ class FieldCtx:
         self.modulus = modulus
         self.order = (1 << n) - 1
         self.subfield_m = subfield_m
-        self._frob = None
         # a subfield context is a second view of the plain context of its
         # degree: it shares every table, and builds missing ones on it
         self._plain = plain
         if plain is not None:
             self._exp, self._log, self._gen, self._fold, self._exp_np = (
                 plain._exp, plain._log, plain._gen, plain._fold, plain._exp_np)
+            self._squarings_cache = plain._squarings_cache
             return
         self._exp = self._log = self._gen = self._exp_np = None
+        self._squarings_cache = {}
         # the high part h of a product stands for h * x^n = h * (x^n mod modulus)
         self._fold = self._times(modulus ^ (1 << n))
         if n <= LOG_TABLE_MAX_N:
@@ -288,6 +294,34 @@ class FieldCtx:
             done += size
         return out
 
+    def mul_array(self, a, b):
+        """Elementwise product of two numpy integer arrays, as int64: a is
+        doubled and reduced at each of the n bits of b, so it stays below 2^41."""
+        import numpy as np
+
+        a = a.astype(np.int64)
+        out = np.zeros_like(a)
+        for k in range(self.n):
+            out ^= a & -(b >> k & 1)
+            a <<= 1
+            a ^= (a >> self.n) * self.modulus
+        return out
+
+    def inv_array(self, a):
+        """Elementwise inverse of a numpy integer array (0 -> 0), as int64.
+
+        Itoh-Tsujii: a^-1 = (a^(2^(n-1) - 1))^2.  beta_k = a^(2^k - 1) walks
+        the bits of n - 1: beta_2k = beta_k^(2^k) beta_k, beta_(k+1) = beta_k^2 a.
+        """
+        beta, k = a, 1
+        for bit in bin(self.n - 1)[3:]:
+            beta = self.mul_array(self._squarings(k).apply(beta), beta)
+            k *= 2
+            if bit == "1":
+                beta = self.mul_array(self._squarings(1).apply(beta), a)
+                k += 1
+        return self._squarings(1).apply(beta)
+
     # -- GF(2)-linear maps ---------------------------------------------------
 
     def _times(self, c: int) -> "LinearMap":
@@ -300,20 +334,18 @@ class FieldCtx:
                 c ^= self.modulus
         return LinearMap(images)
 
+    def _squarings(self, k: int) -> "LinearMap":
+        """x -> x^(2^k), cached per degree: x^j maps to (x^(2^k))^j."""
+        if k not in self._squarings_cache:
+            c = self.pow(2 & self.order, 1 << k)  # the element x is 0 in GF(2)
+            self._squarings_cache[k] = LinearMap(self.powers(c, self.n).tolist())
+        return self._squarings_cache[k]
+
     def frobenius(self) -> "LinearMap":
-        """x -> x^q over the subfield GF(q), q = 2^m, built once per context
-        from m squarings of each basis bit."""
-        if self._frob is None:
-            if self.subfield_m is None:
-                raise ValueError("context has no subfield structure")
-            images = []
-            for k in range(self.n):
-                a = 1 << k
-                for _ in range(self.subfield_m):
-                    a = self.mul(a, a)
-                images.append(a)
-            self._frob = LinearMap(images)
-        return self._frob
+        """x -> x^q over the subfield GF(q), q = 2^m."""
+        if self.subfield_m is None:
+            raise ValueError("context has no subfield structure")
+        return self._squarings(self.subfield_m)
 
     def linearized(self, a: int, b: int) -> "LinearMap":
         """The linearized binomial x -> a x + b x^q."""
@@ -366,18 +398,22 @@ class FieldCtx:
         if self._exp_np is None:
             owner = self._plain or self
             if owner._exp_np is None:
-                import numpy as np
-
-                g = owner.generator()
-                arr = owner.powers(g, owner.order)
-                # g has order 2^n - 1: 1 occurs only at k = 0, and the walk
-                # closes (the closure alone holds for every nonzero g)
-                if (int(np.count_nonzero(arr == 1)) != 1
-                        or owner.mul(int(arr[-1]), g) != 1):
-                    raise AssertionError("generator order mismatch")
-                owner._exp_np = arr
+                owner._exp_np = owner._subgroup(owner.order)
             self._exp_np = owner._exp_np
         return self._exp_np
+
+    def _subgroup(self, size: int):
+        """The multiplicative subgroup of the given order (a divisor of
+        2^n - 1) in cyclic order [h^0, ..., h^(size-1)], h = g^(order/size),
+        as a numpy int64 array."""
+        import numpy as np
+
+        h = self.pow(self.generator(), self.order // size)
+        arr = self.powers(h, size)
+        # h has order size: 1 only at k = 0 (closure alone holds for any h^size = 1)
+        if int(np.count_nonzero(arr == 1)) != 1 or self.mul(int(arr[-1]), h) != 1:
+            raise AssertionError("generator order mismatch")
+        return arr
 
     def __eq__(self, other):
         if isinstance(other, FieldCtx):
@@ -503,20 +539,10 @@ def omega(ctx: FieldCtx) -> FieldElem:
 
 def unit_circle(ctx: FieldCtx) -> list[FieldElem]:
     """All q+1 solutions of x^(q+1) = 1, in bit-ascending order."""
-    zs = _unit_circle_bits(ctx)
-    return [FieldElem(ctx, b) for b in zs]
-
-
-def _unit_circle_bits(ctx: FieldCtx) -> list[int]:
     if ctx.subfield_m is None:
         raise ValueError("unit circle needs subfield structure")
-    q = 1 << ctx.subfield_m
-    zeta = ctx.pow(ctx.generator(), q - 1)
-    zs = ctx.powers(zeta, q + 1)
-    if ctx.mul(int(zs[-1]), zeta) != 1:
-        raise AssertionError("unit circle enumeration did not close")
-    zs.sort()
-    return zs.tolist()
+    zs = sorted(ctx._subgroup((1 << ctx.subfield_m) + 1).tolist())
+    return [FieldElem(ctx, b) for b in zs]
 
 
 def in_base_field(x: FieldElem) -> bool:

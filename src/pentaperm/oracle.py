@@ -2,7 +2,7 @@
 
 Nothing here consults the closed-form theory: permutation status comes
 from exhaustive sweeps with a hit bitmap, the fractional map g = N/H is
-evaluated on the unit circle point by point, and ramification indices
+evaluated on the whole unit circle as arrays, and ramification indices
 are root multiplicities computed by synthetic division over GF(2^(2m)).
 That independence is what makes agreement with the theorem engine a
 meaningful check.
@@ -34,7 +34,7 @@ import functools
 from dataclasses import dataclass
 
 from .families import FamilySpec, build_H, build_N, f_exponents
-from .field import _CHUNK, FieldCtx, FieldElem, _unit_circle_bits, make_field
+from .field import _CHUNK, FieldCtx, FieldElem, make_field
 from .gf2poly import BinPoly, poly_divmod, poly_gcd, poly_reverse
 
 __all__ = [
@@ -273,27 +273,14 @@ def g_eval(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> ProjPoint:
     return g_map(spec).eval(ctx, x)
 
 
-def _batch_inverse(ctx: FieldCtx, vals: list[int]) -> list[int]:
-    # Montgomery trick: one inversion plus 3(k-1) multiplications
-    prefix = [0] * len(vals)
-    acc = 1
-    for k, v in enumerate(vals):
-        prefix[k] = acc
-        acc = ctx.mul(acc, v)
-    inv = ctx.inv(acc)
-    out = [0] * len(vals)
-    for k in range(len(vals) - 1, -1, -1):
-        out[k] = ctx.mul(inv, prefix[k])
-        inv = ctx.mul(inv, vals[k])
-    return out
-
-
 def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     """Whether the reduced g maps the unit circle bijectively onto itself.
 
     The circle is cyclic of order q+1, so the five-term N and H restrict
-    to lookups in a (q+1)-entry power table; only the (at most two) common
-    roots of N and H need the reduced polynomials directly.
+    to lookups in a (q+1)-entry power table, and g = N H^-1 is one array
+    inverse and one array multiply.  Only the roots of H on the circle
+    need the reduced polynomials directly.  Bijectivity is one sorted
+    comparison with the circle.
     """
     import numpy as np
 
@@ -302,8 +289,7 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     ctx = make_field(2 * m, m)
     q = 1 << m
     gmap = g_map(spec)
-    zeta = ctx.pow(ctx.generator(), q - 1)
-    ztab = ctx.powers(zeta, q + 1)
+    ztab = ctx._subgroup(q + 1)
     ks = np.arange(q + 1, dtype=np.int64)
 
     def sparse_values(poly: BinPoly):
@@ -314,25 +300,15 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
 
     nvals = sparse_values(gmap.num)
     hvals = sparse_values(gmap.den)
-
-    points: list[int] = []
-    quotient_at: dict[int, int] = {}
-    for k in range(q + 1):
-        nv, hv = int(nvals[k]), int(hvals[k])
-        if hv == 0:
-            if nv != 0:
-                return False  # g hits infinity on the circle
-            # common root of N and H: fall back to the reduced form
-            red = gmap.eval_bits(ctx, int(ztab[k]))
-            if red is INFINITY:
-                return False
-            quotient_at[k] = red
-        else:
-            points.append(k)
-    denom_inv = _batch_inverse(ctx, [int(hvals[k]) for k in points])
-    for k, inv in zip(points, denom_inv):
-        quotient_at[k] = ctx.mul(int(nvals[k]), inv)
-    return sorted(quotient_at.values()) == sorted(ztab.tolist())
+    values = ctx.mul_array(nvals, ctx.inv_array(hvals))
+    # roots of H take the reduced form: at most two are roots of N too, and
+    # at any other the reduced denominator vanishes, so g hits infinity
+    for k in np.flatnonzero(hvals == 0).tolist():
+        red = gmap.eval_bits(ctx, int(ztab[k]))
+        if red is INFINITY:
+            return False
+        values[k] = red
+    return bool(np.array_equal(np.sort(values), np.sort(ztab)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +490,7 @@ def deg1_bijects_mu(rho: DegreeOneMap, ctx: FieldCtx) -> bool:
 
 def deg1_bijects_mu_by_enumeration(rho: DegreeOneMap, ctx: FieldCtx) -> bool:
     """Ground truth for deg1_bijects_mu: walk the circle and compare images."""
-    mu = _unit_circle_bits(ctx)
+    mu = ctx._subgroup((1 << ctx.subfield_m) + 1).tolist()
     image = set()
     for bits in mu:
         out = rho.eval(ctx.elem(bits))
@@ -542,15 +518,9 @@ def deg1_mu_to_p1(l: DegreeOneMap, ctx: FieldCtx) -> bool:
             and ctx.mul(b, inv_c) == ctx.mul(beta, ctx.frob_q(delta)))
 
 
-def _base_field_bits(ctx: FieldCtx) -> set[int]:
-    q = 1 << ctx.subfield_m
-    g = ctx.pow(ctx.generator(), q + 1)  # the norm image generates GF(2^m)*
-    return {0, *ctx.powers(g, q - 1).tolist()}
-
-
 def deg1_mu_to_p1_by_enumeration(l: DegreeOneMap, ctx: FieldCtx) -> bool:
     """Ground truth for deg1_mu_to_p1: the image must be all of P1(F_q)."""
-    mu = _unit_circle_bits(ctx)
+    mu = ctx._subgroup((1 << ctx.subfield_m) + 1).tolist()
     image = set()
     saw_infinity = False
     for bits in mu:
@@ -559,4 +529,5 @@ def deg1_mu_to_p1_by_enumeration(l: DegreeOneMap, ctx: FieldCtx) -> bool:
             saw_infinity = True
         else:
             image.add(out.bits)
-    return saw_infinity and image == _base_field_bits(ctx)
+    base_field = {0, *ctx._subgroup((1 << ctx.subfield_m) - 1).tolist()}
+    return saw_infinity and image == base_field

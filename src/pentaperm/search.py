@@ -46,8 +46,9 @@ class SearchConfig:
     workers: int = 1
 
     def validate(self, n_cap: int = SEARCH_N_CAP) -> None:
-        if self.t_max < 5:
-            raise ValueError("t_max below 5 leaves nothing to search")
+        if not 5 <= self.t_max <= 40:
+            raise ValueError(f"t_max must lie in [5, 40] (below 5 nothing is searched), "
+                             f"got {self.t_max}")
         if not self.m_set:
             raise ValueError("m_set must be nonempty")
         for m in self.m_set:

@@ -390,3 +390,36 @@ def test_condition_above_modulus_ceiling_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "modulus 2794836 exceeds the ceiling 262144" in captured.err
+
+
+def test_equiv_full_pool_above_2m_6_refused_before_field_work(monkeypatch, capsys):
+    # at m = 4 the monomial search would scan 256^4 coefficient tuples
+    def fail(*args, **kwargs):
+        raise AssertionError("field built before refusing")
+
+    monkeypatch.setattr("pentaperm.cli.make_field", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", "--class", "B", "--i", "5", "--j", "6", "--m", "4", "--pool", "full"])
+    assert exc.value.code == 2
+    assert "full pool only supported for 2m <= 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "check --class A --i 13 --j 1 --m 2",
+    "condition --class B --i 5 --j 13",
+    "identities --i-max 13",
+    "rvalues --j-max 13",
+    "search --t-max 41 --m-set 2",
+])
+def test_inputs_above_their_ceilings_refused(argv, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("worked before refusing")
+
+    for target in ("theory.theorem_verdict", "theory.m_condition", "theory.r_oracle",
+                   "theory.verify_identity_derivative", "search.run_search"):
+        monkeypatch.setattr(f"pentaperm.cli.{target}", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err

@@ -334,6 +334,40 @@ def test_exp_array_refuses_a_non_generator(monkeypatch):
         ctx.exp_array()
 
 
+def test_unit_circle_refuses_a_non_generator(monkeypatch):
+    # q + 1 = 513 is divisible by 3, so (g^3)^(q-1) has order 171: its walk
+    # of q + 1 steps closes but revisits 1
+    ctx = FieldCtx(18, canonical_modulus(18), 9)
+    not_generator = ctx.pow(make_field(18).generator(), 3)
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        unit_circle(ctx)
+
+
+# -- array multiply and inverse -------------------------------------------------
+
+# n = 16/17 straddle the log-table threshold of the scalar reference
+ARRAY_DEGREES = st.sampled_from([1, 16, 17, 40]) | st.integers(1, 40)
+
+
+@given(n=ARRAY_DEGREES, data=st.data())
+def test_mul_array_is_field_multiplication(n, data):
+    ctx = make_field(n)
+    element = st.integers(0, ctx.order)
+    pairs = [(0, 0), (0, ctx.order), (ctx.order, 1)] + data.draw(
+        st.lists(st.tuples(element, element), max_size=20))
+    a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    assert ctx.mul_array(a, b).tolist() == [ctx.mul(x, y) for x, y in pairs]
+
+
+@given(n=ARRAY_DEGREES, data=st.data())
+def test_inv_array_is_field_inversion(n, data):
+    ctx = make_field(n)
+    xs = [0, 1, ctx.order] + data.draw(st.lists(st.integers(1, ctx.order), max_size=20))
+    got = ctx.inv_array(np.array(xs, dtype=np.int64)).tolist()
+    assert got == [0] + [ctx.inv(x) for x in xs[1:]]
+
+
 # -- the GF(2)-linear-map kernel -----------------------------------------------
 
 @st.composite

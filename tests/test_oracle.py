@@ -249,6 +249,30 @@ def test_g_permutes_circle_examples():
     assert g_permutes_unit_circle(FamilySpec("A", 3, 1), 5)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_g_permutes_circle_equals_pointwise_g_eval(m):
+    # the scalar reference: g bijects the circle iff no point goes to
+    # infinity and the q+1 images are the circle; odd m with r > 0 holds
+    # cells where g hits infinity and cells where N and H share a root
+    ctx = make_field(2 * m, m)
+    circle = unit_circle(ctx)
+    for spec in all_specs(5):
+        images = {g_eval(spec, ctx, z) for z in circle}
+        assert g_permutes_unit_circle(spec, m) == (images == set(circle)), spec
+
+
+@pytest.mark.parametrize("num, den", [(0b10, 0b111), (0b111, 0b10101)])
+def test_g_permutes_circle_refuses_a_pole_on_the_circle(num, den, monkeypatch):
+    # no family cell above has a pole on the circle; x/(x^2+x+1) has one
+    # at omega, and (x^2+x+1)/(x^2+x+1)^2 one after reduction
+    gmap = RationalMap.make(BinPoly(num), BinPoly(den))
+    monkeypatch.setattr(oracle, "g_map", lambda spec: gmap)
+    ctx = make_field(2, 1)
+    spec = FamilySpec("A", 1, 1)
+    assert INFINITY in {g_eval(spec, ctx, z) for z in unit_circle(ctx)}
+    assert not g_permutes_unit_circle(spec, 1)
+
+
 def test_g_permutes_circle_large_even_m():
     # m = 12: the even-branch criterion is gcd(97, 2^12 + 1) = 1
     import math
