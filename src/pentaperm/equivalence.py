@@ -210,9 +210,10 @@ def _subfield_power_table(ctx, e: int):
     return elements[order], powers[order]
 
 
-def _bivariate_mismatches(ctx, exponents, u, v, table, combiners, limit) -> list[bool]:
-    """For each combiner (d1, d2): whether d1 u(x)^e + d2 v(x)^e differs from
-    f(x) at some x < limit, with table from _subfield_power_table.
+def _bivariate_mismatches(ctx, exponents, u, v, table, muls, limit) -> list[bool]:
+    """For each combiner's maps (x -> d1 x, x -> d2 x): whether d1 u(x)^e
+    + d2 v(x)^e differs from f(x) at some x < limit, with table from
+    _subfield_power_table.
 
     u and v must land in GF(q) below limit.  x = 0 is checked by scalar
     pow; the other points are walked in the blocks of f's power sum, and
@@ -221,8 +222,7 @@ def _bivariate_mismatches(ctx, exponents, u, v, table, combiners, limit) -> list
     import numpy as np
 
     elements, powers = table
-    muls = [(ctx._times(d1), ctx._times(d2)) for d1, d2 in combiners]
-    bad = [ctx.mul(d1 ^ d2, int(powers[0])) != 0 for d1, d2 in combiners]
+    bad = [t1(int(powers[0])) != t2(int(powers[0])) for t1, t2 in muls]
     for xs, fx in _power_sum_blocks(ctx, exponents):
         if all(bad):
             break
@@ -244,7 +244,8 @@ def _bivariate_status(ctx, exponents, c1, c2, c3, c4, d1, d2, e) -> str:
     u, v = ctx.linearized(c2, c1), ctx.linearized(c4, c3)
     b, status = _first_structural_failure(ctx, u, v)
     table = _subfield_power_table(ctx, e)
-    if _bivariate_mismatches(ctx, exponents, u, v, table, [(d1, d2)], 1 << b)[0]:
+    muls = [(ctx._times(d1), ctx._times(d2))]
+    if _bivariate_mismatches(ctx, exponents, u, v, table, muls, 1 << b)[0]:
         return "mismatch"
     return status
 
@@ -307,14 +308,14 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
             ratio = ctx.mul(d2, ctx.inv(d1))
             if frob(ratio) != ratio:
                 combiners.append((d1, d2))
+    muls = [(ctx._times(d1), ctx._times(d2)) for d1, d2 in combiners]
     # a structural failure fails every combiner, so only sound L2 are
     # replayed, once each for all combiners; the first that survives wins
     for (c1, c2), u in components.items():
         for (c3, c4), v in components.items():
             if _first_structural_failure(ctx, u, v)[1] != "ok":
                 continue
-            bad = _bivariate_mismatches(ctx, exponents, u, v, table, combiners,
-                                        1 << ctx.n)
+            bad = _bivariate_mismatches(ctx, exponents, u, v, table, muls, 1 << ctx.n)
             if not all(bad):
                 d1, d2 = combiners[bad.index(False)]
                 return BivariateCert(

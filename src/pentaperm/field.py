@@ -55,9 +55,9 @@ __all__ = [
 
 N_CAP = 40
 LOG_TABLE_MAX_N = 16
-# Entries per numpy temporary in whole-field loops: one slice of a doubling
-# step in FieldCtx.powers, one sweep block in oracle.  oracle caches the
-# columns of one-block fields as uint16, so this must not exceed 1 << 16.
+# Entries per numpy temporary in whole-field loops: a slice of FieldCtx.mul_array
+# or of a doubling step in FieldCtx.powers, a sweep block in oracle.  oracle
+# caches the columns of one-block fields as uint16, so this is at most 1 << 16.
 _CHUNK = 1 << 16
 
 # Least irreducible of each degree, as a coefficient bitmask (leading bit set).
@@ -295,16 +295,18 @@ class FieldCtx:
         return out
 
     def mul_array(self, a, b):
-        """Elementwise product of two numpy integer arrays, as int64: a is
-        doubled and reduced at each of the n bits of b, so it stays below 2^41."""
+        """Elementwise product of 1-d integer arrays, as int64, in _CHUNK slices:
+        a is doubled and reduced at each of the n bits of b, so it stays < 2^41."""
         import numpy as np
 
-        a = a.astype(np.int64)
-        out = np.zeros_like(a)
-        for k in range(self.n):
-            out ^= a & -(b >> k & 1)
-            a <<= 1
-            a ^= (a >> self.n) * self.modulus
+        out = np.zeros(len(a), dtype=np.int64)
+        for lo in range(0, len(a), _CHUNK):
+            x, y = a[lo:lo + _CHUNK].astype(np.int64), b[lo:lo + _CHUNK]
+            acc = out[lo:lo + _CHUNK]  # a view: the steps accumulate into out
+            for k in range(self.n):
+                acc ^= x & -(y >> k & 1)
+                x <<= 1
+                x ^= (x >> self.n) * self.modulus
         return out
 
     def inv_array(self, a):

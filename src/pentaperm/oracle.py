@@ -3,8 +3,8 @@
 Nothing here consults the closed-form theory: permutation status comes
 from exhaustive sweeps with a hit bitmap, the fractional map g = N/H is
 evaluated on the whole unit circle as arrays, and ramification indices
-are root multiplicities computed by synthetic division over GF(2^(2m)).
-That independence is what makes agreement with the theorem engine a
+come from Hasse derivatives evaluated over all of GF(2^(2m)).  That
+independence is what makes agreement with the theorem engine a
 meaningful check.
 
 Every whole-field sweep is one power sum, xor of x^e over the exponents,
@@ -18,12 +18,12 @@ the previous one times a constant, and a sweep holds the 2^n-entry hit
 bitmap and one block per exponent.
 
 Branch points are reported as images of critical points found among the
-field points plus infinity.  A ramification scan tabulates (point,
-image, index) for every point, evaluating g once per point, and keeps
-the last table; the branch points, fibers, profile and report of one map
-are filters over it.  The underlying definitions live over the
-algebraic closure; for the maps in scope every critical point lies in
-F_4, a subfield of every GF(2^(2m)), so the concrete sweep sees them all.
+field points plus infinity.  A ramification scan evaluates N, D and
+their Hasse derivatives at every nonzero point as arrays, and keeps the
+last table of images and indices; the branch points, fibers, profile and
+report of one map are filters over it.  The underlying definitions live
+over the algebraic closure; for the maps in scope every critical point
+lies in F_4, a subfield of every GF(2^(2m)), so the scan sees them all.
 Inseparable maps such as x -> x^2 (where every point is critical) are
 reported as such.
 """
@@ -273,6 +273,19 @@ def g_eval(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> ProjPoint:
     return g_map(spec).eval(ctx, x)
 
 
+def _sparse_values(table, ks, exps):
+    """The polynomial with exponents exps at each h^k, where table = [h^0, ...,
+    h^(s-1)] is cyclic: (h^k)^e = table[k e mod s].  Gathers hold ~_CHUNK entries."""
+    import numpy as np
+
+    acc = np.zeros(len(ks), dtype=np.int64)
+    step = max(1, _CHUNK // max(1, len(ks)))
+    for lo in range(0, len(exps), step):
+        es = np.array(exps[lo:lo + step], dtype=np.int64) % len(table)
+        acc ^= np.bitwise_xor.reduce(table[np.multiply.outer(es, ks) % len(table)], axis=0)
+    return acc
+
+
 def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     """Whether the reduced g maps the unit circle bijectively onto itself.
 
@@ -291,16 +304,9 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     gmap = g_map(spec)
     ztab = ctx._subgroup(q + 1)
     ks = np.arange(q + 1, dtype=np.int64)
-
-    def sparse_values(poly: BinPoly):
-        acc = np.zeros(q + 1, dtype=np.int64)
-        for e in poly.exponents():
-            acc ^= ztab[(ks * (e % (q + 1))) % (q + 1)]
-        return acc
-
-    nvals = sparse_values(gmap.num)
-    hvals = sparse_values(gmap.den)
-    values = ctx.mul_array(nvals, ctx.inv_array(hvals))
+    hvals = _sparse_values(ztab, ks, gmap.den.exponents())
+    values = ctx.mul_array(_sparse_values(ztab, ks, gmap.num.exponents()),
+                           ctx.inv_array(hvals))
     # roots of H take the reduced form: at most two are roots of N too, and
     # at any other the reduced denominator vanishes, so g hits infinity
     for k in np.flatnonzero(hvals == 0).tolist():
@@ -315,56 +321,28 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
 # ramification over the concrete field
 # ---------------------------------------------------------------------------
 
-def _lift(poly: BinPoly) -> list[int]:
-    bits = poly.bits
-    return [bits >> k & 1 for k in range(max(1, bits.bit_length()))]
-
-
-def _scale(ctx: FieldCtx, coeffs: list[int], c: int) -> list[int]:
-    return [ctx.mul(a, c) for a in coeffs]
-
-
-def _root_multiplicity(ctx: FieldCtx, coeffs: list[int], alpha: int) -> int:
-    # repeated synthetic division by (x + alpha)
-    mult = 0
-    while len(coeffs) > 1 or (coeffs and coeffs[0]):
-        acc = 0
-        quot = [0] * (len(coeffs) - 1)
-        for k in range(len(coeffs) - 1, 0, -1):
-            acc = coeffs[k] ^ ctx.mul(acc, alpha)
-            quot[k - 1] = acc
-        rem = coeffs[0] ^ ctx.mul(acc, alpha)
-        if rem:
-            break
-        mult += 1
-        coeffs = quot or [0]
-        if len(coeffs) == 1 and coeffs[0] == 0:
-            break
-    return mult
-
-
-def _index_at(g: RationalMap, a: int, value, ctx: FieldCtx) -> int:
-    """Multiplicity of a as a root of N - value*D (of D when value is INFINITY)."""
-    if value is INFINITY:
-        coeffs = _lift(g.reduced_den)
-    else:
-        num = _lift(g.reduced_num)
-        den = _scale(ctx, _lift(g.reduced_den), value)
-        width = max(len(num), len(den))
-        num += [0] * (width - len(num))
-        den += [0] * (width - len(den))
-        coeffs = [x ^ y for x, y in zip(num, den)]
-    return _root_multiplicity(ctx, coeffs, a)
+def _hasse(exps, k: int) -> list[int]:
+    """The k-th Hasse derivative on exponents: x^e -> C(e, k) x^(e-k), where
+    C(e, k) is odd exactly when e & k == k (Lucas)."""
+    return [e - k for e in exps if e & k == k]
 
 
 def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
-    """Multiplicity of alpha as a root of N - g(alpha)D (D when g(alpha) = inf).
-
-    The index at infinity is computed through the substitution x -> 1/x.
-    """
+    """Multiplicity of alpha as a root of N - g(alpha)D (D when g(alpha) = inf):
+    the least k >= 1 with (D^k N)(alpha) + g(alpha) (D^k D)(alpha) != 0, or
+    (D^k D)(alpha) != 0 at a pole, for the reduced N and D, each derivative
+    summed term by term.  The index at infinity is computed through the
+    substitution x -> 1/x."""
     if alpha is INFINITY:
         return ramification_index(g.flipped(), ctx.zero(), ctx)
-    return _index_at(g, alpha.bits, g.eval_bits(ctx, alpha.bits), ctx)
+    a, value = alpha.bits, g.eval_bits(ctx, alpha.bits)
+    terms = (g.reduced_num.exponents(), g.reduced_den.exponents())
+    for k in range(1, g.degree + 1):
+        nk, dk = (functools.reduce(int.__xor__, (ctx.pow(a, e) for e in _hasse(ex, k)), 0)
+                  for ex in terms)
+        if (dk if value is INFINITY else nk ^ ctx.mul(value, dk)):
+            return k
+    return 0
 
 
 def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> FieldElem:
@@ -382,20 +360,40 @@ def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> 
 
 @functools.lru_cache(maxsize=1)
 def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
-    """(point, image, index) for every field point in bit order, then for
-    infinity; g is evaluated once per point, and the last table is kept."""
-    table = []
-    for bits in range(1 << ctx.n):
-        value = g.eval_bits(ctx, bits)
-        image = value if value is INFINITY else ctx.elem(value)
-        table.append((ctx.elem(bits), image, _index_at(g, bits, value, ctx)))
-    table.append((INFINITY, g.value_at_infinity(ctx), ramification_index(g, INFINITY, ctx)))
-    return tuple(table)
+    """(images, indices, critical): int64 arrays over the field points in
+    bit order plus row 2^n for infinity (an image of 2^n is infinity), and
+    (point, image, index) at each critical row.  Hasse order k is evaluated
+    in discrete-log order, only where every order below it vanished."""
+    import numpy as np
+
+    size, exp = 1 << ctx.n, ctx.exp_array()
+    num, den = g.reduced_num.exponents(), g.reduced_den.exponents()
+    todo = np.arange(len(exp))
+    dvals = _sparse_values(exp, todo, den)
+    values = ctx.mul_array(_sparse_values(exp, todo, num), ctx.inv_array(dvals))
+    images = np.empty(size + 1, dtype=np.int64)
+    images[exp] = np.where(dvals == 0, size, values)
+    indices = np.zeros(size + 1, dtype=np.int64)
+    for k in range(1, g.degree + 1):
+        dk = _sparse_values(exp, todo, _hasse(den, k))
+        nk = _sparse_values(exp, todo, _hasse(num, k)) ^ ctx.mul_array(values[todo], dk)
+        residual = np.where(dvals[todo] == 0, dk, nk)
+        indices[exp[todo[residual != 0]]] = k
+        todo = todo[residual == 0]
+    for row, point in ((0, ctx.zero()), (size, INFINITY)):
+        image = g.eval(ctx, point)
+        images[row] = size if image is INFINITY else image.bits
+        indices[row] = ramification_index(g, point, ctx)
+    images.flags.writeable = indices.flags.writeable = False
+    rows = np.flatnonzero(indices > 1).tolist()
+    proj = [INFINITY if c == size else ctx.elem(c) for c in rows + images[rows].tolist()]
+    critical = tuple(zip(proj[:len(rows)], proj[len(rows):], indices[rows].tolist()))
+    return images, indices, critical
 
 
 def branch_points_of_map(g: RationalMap, ctx: FieldCtx) -> set:
     """Images of the critical points found among field points and infinity."""
-    return {image for _, image, e in _ramification_table(g, ctx) if e > 1}
+    return {image for _, image, _ in _ramification_table(g, ctx)[2]}
 
 
 def branch_points(spec: FamilySpec, ctx: FieldCtx) -> set:
@@ -406,7 +404,9 @@ def branch_points(spec: FamilySpec, ctx: FieldCtx) -> set:
 def fiber_indices(g: RationalMap, beta: ProjPoint, ctx: FieldCtx) -> list[int]:
     """Sorted ramification indices over beta's preimages in the field plus
     infinity (the concrete part of the fiber)."""
-    return sorted(e for _, image, e in _ramification_table(g, ctx) if image == beta)
+    images, indices, _ = _ramification_table(g, ctx)
+    code = 1 << ctx.n if beta is INFINITY else beta.bits if beta.ctx == ctx else -1
+    return sorted(indices[images == code].tolist())
 
 
 def ramification_profile(spec: FamilySpec, ctx: FieldCtx) -> dict:
@@ -418,12 +418,9 @@ def ramification_profile(spec: FamilySpec, ctx: FieldCtx) -> dict:
 
 def ramification_report(spec: FamilySpec, ctx: FieldCtx) -> list[dict]:
     """JSON-renderable critical-point report: point, index, image."""
-    return [
-        {"point": "inf" if point is INFINITY else point.hex(),
-         "index": e,
-         "image": "inf" if image is INFINITY else image.hex()}
-        for point, image, e in _ramification_table(g_map(spec), ctx) if e > 1
-    ]
+    return [{"point": "inf" if point is INFINITY else point.hex(), "index": e,
+             "image": "inf" if image is INFINITY else image.hex()}
+            for point, image, e in _ramification_table(g_map(spec), ctx)[2]]
 
 
 # ---------------------------------------------------------------------------

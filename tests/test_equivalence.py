@@ -18,7 +18,7 @@ from pentaperm.equivalence import (
     verify_monomial_cert,
 )
 from pentaperm.families import FamilySpec, f_exponents
-from pentaperm.field import make_field, omega
+from pentaperm.field import FieldCtx, make_field, omega
 from pentaperm.oracle import _power_sum_array, brute_is_permutation, power_sum_table
 from pentaperm.theory import r_closed_form
 
@@ -160,6 +160,20 @@ def test_bivariate_search_family17_and_row2():
         cert = search_bivariate_cert(spec, 3)
         assert cert is not None
         assert verify_bivariate_cert(cert, spec, 3)
+
+
+def test_bivariate_search_builds_each_combiner_map_once(monkeypatch):
+    # FAMILY17 at m = 3 replays four sound L2; the combiner maps x -> d x
+    # must be built once per search, not once per replay
+    ctx = make_field(6, 3)
+    search_bivariate_cert(FAMILY17, 3)  # warm the per-degree caches
+    pool = {p.bits for p in f4_pool(ctx)}
+    built = []
+    times = FieldCtx._times
+    monkeypatch.setattr(FieldCtx, "_times", lambda self, c: built.append(c) or times(self, c))
+    assert search_bivariate_cert(FAMILY17, 3) is not None
+    # six combiners (d1, d2 nonzero with d2/d1 in {w, w^2}), two maps each
+    assert len([c for c in built if c in pool]) <= 2 * 6
 
 
 def test_bivariate_search_requires_r_zero():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pentaperm import field
 from pentaperm.field import (
     CANONICAL_MODULUS,
     N_CAP,
@@ -366,6 +367,18 @@ def test_inv_array_is_field_inversion(n, data):
     xs = [0, 1, ctx.order] + data.draw(st.lists(st.integers(1, ctx.order), max_size=20))
     got = ctx.inv_array(np.array(xs, dtype=np.int64)).tolist()
     assert got == [0] + [ctx.inv(x) for x in xs[1:]]
+
+
+@pytest.mark.parametrize("n", [3, 16, 17, 40])
+def test_array_multiply_and_inverse_in_slices_of_5(n, rng, monkeypatch):
+    # 23 entries make four full slices and a partial one
+    monkeypatch.setattr(field, "_CHUNK", 5)
+    ctx = make_field(n)
+    xs = [0, 1, ctx.order] + [rng.randrange(1, 1 << n) for _ in range(20)]
+    ys = [rng.randrange(1 << n) for _ in xs]
+    a, b = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    assert ctx.mul_array(a, b).tolist() == [ctx.mul(x, y) for x, y in zip(xs, ys)]
+    assert ctx.inv_array(a).tolist() == [0] + [ctx.inv(x) for x in xs[1:]]
 
 
 # -- the GF(2)-linear-map kernel -----------------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for bit-packed GF(2)[x] arithmetic."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pentaperm.families import FamilySpec, build_H, build_N
 from pentaperm.field import make_field, omega
@@ -178,6 +180,25 @@ def test_divmod_reconstructs(rng):
         q, r = poly_divmod(a, b)
         assert poly_mul(q, b) + r == a
         assert r.bits < 1 << (b.degree or 0)
+
+
+# small masks and masks past the 48-bit word product (_WORD_BITS)
+POLYS = st.builds(BinPoly, st.integers(0, 1 << 12) | st.integers(0, 1 << 130))
+
+
+@given(a=POLYS, b=POLYS, c=POLYS)
+def test_ring_laws(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@given(a=POLYS, b=POLYS.filter(bool))
+def test_divmod_property(a, b):
+    q, r = divmod(a, b)
+    assert a == q * b + r
+    assert r.degree is None or r.degree < b.degree
+    assert poly_divmod(a, b) == (q, r)
 
 
 def test_divmod_by_zero():

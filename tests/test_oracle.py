@@ -349,6 +349,86 @@ def test_profile_fiber_sums_reach_degree_over_branch_points():
                 assert sum(idxs) == g.degree
 
 
+# -- reference: ramification indices by synthetic division ---------------------
+
+def _lift(poly: BinPoly) -> list[int]:
+    bits = poly.bits
+    return [bits >> k & 1 for k in range(max(1, bits.bit_length()))]
+
+
+def _scale(ctx, coeffs: list[int], c: int) -> list[int]:
+    return [ctx.mul(a, c) for a in coeffs]
+
+
+def _root_multiplicity(ctx, coeffs: list[int], alpha: int) -> int:
+    # repeated synthetic division by (x + alpha)
+    mult = 0
+    while len(coeffs) > 1 or (coeffs and coeffs[0]):
+        acc = 0
+        quot = [0] * (len(coeffs) - 1)
+        for k in range(len(coeffs) - 1, 0, -1):
+            acc = coeffs[k] ^ ctx.mul(acc, alpha)
+            quot[k - 1] = acc
+        rem = coeffs[0] ^ ctx.mul(acc, alpha)
+        if rem:
+            break
+        mult += 1
+        coeffs = quot or [0]
+        if len(coeffs) == 1 and coeffs[0] == 0:
+            break
+    return mult
+
+
+def _index_at(g, a: int, value, ctx) -> int:
+    """Multiplicity of a as a root of N - value*D (of D when value is INFINITY)."""
+    if value is INFINITY:
+        coeffs = _lift(g.reduced_den)
+    else:
+        num = _lift(g.reduced_num)
+        den = _scale(ctx, _lift(g.reduced_den), value)
+        width = max(len(num), len(den))
+        num += [0] * (width - len(num))
+        den += [0] * (width - len(den))
+        coeffs = [x ^ y for x, y in zip(num, den)]
+    return _root_multiplicity(ctx, coeffs, a)
+
+
+def _reference_rows(g, ctx):
+    """(image, index) per field point in bit order, then at infinity (through
+    x -> 1/x), with an image of 2^n standing for infinity."""
+    rows = []
+    for bits in range(1 << ctx.n):
+        value = g.eval_bits(ctx, bits)
+        rows.append((1 << ctx.n if value is INFINITY else value,
+                     _index_at(g, bits, value, ctx)))
+    flipped = g.flipped()
+    at_inf = g.value_at_infinity(ctx)
+    rows.append((1 << ctx.n if at_inf is INFINITY else at_inf.bits,
+                 _index_at(flipped, 0, flipped.eval_bits(ctx, 0), ctx)))
+    return rows
+
+
+REFERENCE_MAPS = [
+    RationalMap.make(BinPoly(0b100), BinPoly(1)),  # x^2: inseparable
+    RationalMap.make(BinPoly(0b1000), BinPoly(1)),  # x^3
+    RationalMap.make(BinPoly(0b10), BinPoly(0b11)),  # x / (x + 1): degree one
+    RationalMap.make(BinPoly(0b10), BinPoly(0b1111)),  # x / (x + 1)^3: triple pole at 1
+]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_ramification_table_and_index_equal_synthetic_division(m):
+    # every point's image and index, the infinity row included, and the
+    # scalar ramification_index, against repeated synthetic division
+    ctx = make_field(2 * m, m)
+    points = [ctx.elem(b) for b in range(1 << ctx.n)] + [INFINITY]
+    for g in [g_map(spec) for spec in all_specs(4)] + REFERENCE_MAPS:
+        want = _reference_rows(g, ctx)
+        images, indices, _ = oracle._ramification_table(g, ctx)
+        assert list(zip(images.tolist(), indices.tolist())) == want
+        assert [ramification_index(g, p, ctx) for p in points] == [e for _, e in want]
+
+
 def _hex(point):
     return "inf" if point is INFINITY else point.hex()
 

@@ -1,6 +1,8 @@
 """Unit tests for the r-tables, verdicts, m-conditions, and identities."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import all_specs
 from pentaperm.families import FamilySpec, match_row, table1_registry
@@ -197,6 +199,26 @@ def test_mcondition_reduction_and_equivalence():
     assert small.allowed == frozenset(range(1, 24))
     assert big.equivalent(small)
     assert not small.equivalent(MCondition(2, frozenset({1})))
+
+
+@st.composite
+def m_conditions(draw):
+    """A condition lifted from a smaller modulus d, with up to two residues
+    flipped so that the least modulus is not always d."""
+    d = draw(st.integers(1, 12))
+    base = draw(st.sets(st.integers(0, d - 1)))
+    modulus = d * draw(st.integers(1, 6))
+    flips = draw(st.sets(st.integers(0, modulus - 1), max_size=2))
+    return MCondition(modulus, frozenset(
+        {r for r in range(modulus) if r % d in base} ^ flips))
+
+
+@given(cond=m_conditions())
+def test_reduced_condition_keeps_membership(cond):
+    small = cond.reduced()
+    assert cond.modulus % small.modulus == 0
+    assert all(small.contains(m) == cond.contains(m)
+               for m in range(1, 2 * cond.modulus + 1))
 
 
 def test_mcondition_render_edge_cases():
