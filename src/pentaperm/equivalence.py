@@ -8,23 +8,22 @@ coefficients involved; verification replays the factorization over the
 whole field, so a verified certificate is an exhaustively checked proof
 of linear equivalence for that (family, m).
 
-Replay is vectorized over numpy blocks of oracle's power-sum walk, and
-every linearized map is a field.LinearMap.  Monomial replay walks
-u = L2(x) = g^k in discrete-log order, where the walk also yields u^e,
-and compares L1(u^e) with f at L2^-1(u) (L2 inverted by elimination), f
-being a numpy table in bit order.  Bivariate replay reports the status
-at the first failing x in bit order, checking at each x "leaves-subfield",
-then "not-injective", then "mismatch".  The two structural conditions are
-GF(2)-linear in x, so the first x failing either is a power of two, 2^b,
-read off the n basis images: b is the first bit whose image leaves
-GF(2^m)^2 or does not raise the rank.  Mismatches are then sought only
-below 2^b, walking x and f(x) from the power sum; u^e and v^e come from a
-q-entry power table of the subfield, looked up with searchsorted.  x = 0
-is checked by scalar pow.
+Replay runs on numpy blocks of oracle's power-sum walk, and every
+linearized map is a field.LinearMap.  Monomial replay walks u = L2(x) in
+discrete-log order, where the walk also yields u^e, and compares L1(u^e)
+with f at L2^-1(u).  Bivariate replay reports the first failing x in bit
+order: "leaves-subfield", then "not-injective", then "mismatch".  The
+two structural conditions are GF(2)-linear, so their first failure is a
+power of two, 2^b, read off the basis images; mismatches are sought only
+below 2^b.
 
 Certificates are searched over a coefficient pool, by default the four
 elements of F_4, since every known explicit certificate uses them; pool
-exhaustion is reported as None rather than treated as nonexistence.
+exhaustion is reported as None rather than treated as nonexistence.  The
+bivariate search solves for the combiner instead of scanning the pool: a
+sound L2 maps GF(2^(2m)) bijectively onto GF(q)^2 and 0^e = 0, so only
+d1 = f(L2^-1(1, 0)), d2 = f(L2^-1(0, 1)) can match, and the full pool at
+m = 3 takes well under a second.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .families import FamilySpec, f_exponents
+from .families import FamilySpec, eval_f, f_exponents
 from .field import FieldCtx, FieldElem, LinearMap, make_field, omega
 from .oracle import _power_sum_array, _power_sum_blocks
 from .theory import r_closed_form
@@ -129,6 +128,15 @@ def _monomial_matches(ctx, ftab, l1: LinearMap, l2_inverse: LinearMap, e: int) -
     return True
 
 
+def _cert_field(cert, m: int) -> FieldCtx:
+    """make_field(2m, m), refusing a certificate with a coefficient from
+    another context before any replay."""
+    ctx = make_field(2 * m, m)
+    if any(c.ctx != ctx for c in vars(cert).values() if isinstance(c, FieldElem)):
+        raise ValueError("certificate coefficient does not belong to the given context")
+    return ctx
+
+
 def verify_monomial_cert(cert: MonomialCert, spec: FamilySpec, m: int) -> bool:
     """Replay f = L1 o x^e o L2 over all of GF(2^(2m)).
 
@@ -137,7 +145,7 @@ def verify_monomial_cert(cert: MonomialCert, spec: FamilySpec, m: int) -> bool:
     """
     if m % 2:
         raise ValueError("monomial certificates apply to even m")
-    ctx = make_field(2 * m, m)
+    ctx = _cert_field(cert, m)
     maps = {}
     for name, (a, b) in (("L1", (cert.a1, cert.b1)), ("L2", (cert.a2, cert.b2))):
         maps[name] = ctx.linearized(a.bits, b.bits)
@@ -176,9 +184,10 @@ def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | 
     return None
 
 
-def _first_structural_failure(ctx, u: LinearMap, v: LinearMap) -> tuple[int, str]:
-    """(b, status) at the first x in bit order where x -> (u(x), v(x)) leaves
-    GF(q)^2 or repeats an earlier value, or (n, "ok") if it never does.
+def _first_structural_failure(ctx, u: LinearMap, v: LinearMap) -> tuple[int, str, LinearMap]:
+    """(b, status, joint) with (b, status) at the first x in bit order where
+    x -> (u(x), v(x)) leaves GF(q)^2 or repeats an earlier value, or
+    (n, "ok") if it never does, and joint the map x -> u(x) 2^n + v(x).
 
     Both conditions are GF(2)-linear, so the first such x is a power of
     two, 2^b: the first basis bit whose image leaves the subfield, or whose
@@ -191,10 +200,10 @@ def _first_structural_failure(ctx, u: LinearMap, v: LinearMap) -> tuple[int, str
     joint = LinearMap(a << ctx.n | b for a, b in zip(u.images, v.images))
     dependent = joint.first_dependent_bit()
     if dependent is not None and dependent < leaves:
-        return dependent, "not-injective"
+        return dependent, "not-injective", joint
     if leaves < ctx.n:
-        return leaves, "leaves-subfield"
-    return ctx.n, "ok"
+        return leaves, "leaves-subfield", joint
+    return ctx.n, "ok", joint
 
 
 def _subfield_power_table(ctx, e: int):
@@ -210,31 +219,40 @@ def _subfield_power_table(ctx, e: int):
     return elements[order], powers[order]
 
 
-def _bivariate_mismatches(ctx, exponents, u, v, table, muls, limit) -> list[bool]:
-    """For each combiner's maps (x -> d1 x, x -> d2 x): whether d1 u(x)^e
-    + d2 v(x)^e differs from f(x) at some x < limit, with table from
-    _subfield_power_table.
+def _combiner_defect(ctx, d1: int, d2: int) -> str | None:
+    """Why L1(u, v) = d1 u + d2 v is not injective on GF(q)^2, or None: d1
+    and d2 must be nonzero with their ratio outside the base field."""
+    if d1 == 0 or d2 == 0:
+        return "a combiner coefficient is zero"
+    ratio = ctx.mul(d2, ctx.inv(d1))
+    if ctx.frob_q(ratio) == ratio:
+        return "combiner coefficients are base-field proportional"
+    return None
+
+
+def _bivariate_mismatch(ctx, exponents, u, v, table, d1: int, d2: int, limit: int) -> bool:
+    """Whether d1 u(x)^e + d2 v(x)^e differs from f(x) at some x < limit,
+    with table from _subfield_power_table.
 
     u and v must land in GF(q) below limit.  x = 0 is checked by scalar
-    pow; the other points are walked in the blocks of f's power sum, and
-    each block's u^e and v^e serve every combiner still undecided.
+    pow (f(0) = 0); the other points are walked in the blocks of f's power
+    sum, and the walk stops at the first block with a mismatch.
     """
     import numpy as np
 
     elements, powers = table
-    bad = [t1(int(powers[0])) != t2(int(powers[0])) for t1, t2 in muls]
+    t1, t2 = ctx._times(d1), ctx._times(d2)
+    if t1(int(powers[0])) != t2(int(powers[0])):
+        return True
     for xs, fx in _power_sum_blocks(ctx, exponents):
-        if all(bad):
-            break
         if limit < 1 << ctx.n:
             below = xs < limit
             xs, fx = xs[below], fx[below]
         ue = powers[np.searchsorted(elements, u.apply(xs))]
         ve = powers[np.searchsorted(elements, v.apply(xs))]
-        for k, (t1, t2) in enumerate(muls):
-            if not bad[k] and np.any(t1.apply(ue) ^ t2.apply(ve) != fx):
-                bad[k] = True
-    return bad
+        if np.any(t1.apply(ue) ^ t2.apply(ve) != fx):
+            return True
+    return False
 
 
 def _bivariate_status(ctx, exponents, c1, c2, c3, c4, d1, d2, e) -> str:
@@ -242,10 +260,8 @@ def _bivariate_status(ctx, exponents, c1, c2, c3, c4, d1, d2, e) -> str:
     at the first failing x in bit order, so a mismatch counts only below
     the first structural failure."""
     u, v = ctx.linearized(c2, c1), ctx.linearized(c4, c3)
-    b, status = _first_structural_failure(ctx, u, v)
-    table = _subfield_power_table(ctx, e)
-    muls = [(ctx._times(d1), ctx._times(d2))]
-    if _bivariate_mismatches(ctx, exponents, u, v, table, muls, 1 << b)[0]:
+    b, status, _ = _first_structural_failure(ctx, u, v)
+    if _bivariate_mismatch(ctx, exponents, u, v, _subfield_power_table(ctx, e), d1, d2, 1 << b):
         return "mismatch"
     return status
 
@@ -259,16 +275,11 @@ def verify_bivariate_cert(cert: BivariateCert, spec: FamilySpec, m: int) -> bool
     """
     if m % 2 == 0:
         raise ValueError("bivariate certificates apply to odd m")
-    ctx = make_field(2 * m, m)
-    # L1(u, v) = d1 u + d2 v must be injective on GF(2^m)^2: d1, d2 nonzero
-    # and their ratio outside the base field.
+    ctx = _cert_field(cert, m)
     d1, d2 = cert.d1.bits, cert.d2.bits
-    if d1 == 0 or d2 == 0:
-        raise CertificateError("degenerate-combiner", "a combiner coefficient is zero")
-    ratio = ctx.mul(d2, ctx.inv(d1))
-    if ctx.frob_q(ratio) == ratio:
-        raise CertificateError("degenerate-combiner",
-                               "combiner coefficients are base-field proportional")
+    defect = _combiner_defect(ctx, d1, d2)
+    if defect:
+        raise CertificateError("degenerate-combiner", defect)
     status = _bivariate_status(
         ctx, f_exponents(spec, m), cert.c1.bits, cert.c2.bits, cert.c3.bits,
         cert.c4.bits, d1, d2, cert.e)
@@ -295,29 +306,24 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
     e = spec.t
     exponents = f_exponents(spec, m)
     table = _subfield_power_table(ctx, e)
-    frob = ctx.frobenius()
     # components c x^q + c' x that land in GF(q) at every x, in scan order
     components = {}
     for c1, c2 in itertools.product(pool_bits, repeat=2):
         lin = ctx.linearized(c2, c1)
-        if all(frob(img) == img for img in lin.images):
+        if all(ctx.frob_q(img) == img for img in lin.images):
             components[c1, c2] = lin
-    combiners = []
-    for d1, d2 in itertools.product(pool_bits, repeat=2):
-        if d1 and d2:
-            ratio = ctx.mul(d2, ctx.inv(d1))
-            if frob(ratio) != ratio:
-                combiners.append((d1, d2))
-    muls = [(ctx._times(d1), ctx._times(d2)) for d1, d2 in combiners]
-    # a structural failure fails every combiner, so only sound L2 are
-    # replayed, once each for all combiners; the first that survives wins
+    # a sound L2 is a bijection onto GF(q)^2 and 0^e = 0, so a matching
+    # combiner has d1 = f(L2^-1(1, 0)) and d2 = f(L2^-1(0, 1)): at most
+    # one combiner per L2 is replayed
     for (c1, c2), u in components.items():
         for (c3, c4), v in components.items():
-            if _first_structural_failure(ctx, u, v)[1] != "ok":
+            _, status, joint = _first_structural_failure(ctx, u, v)
+            if status != "ok":
                 continue
-            bad = _bivariate_mismatches(ctx, exponents, u, v, table, muls, 1 << ctx.n)
-            if not all(bad):
-                d1, d2 = combiners[bad.index(False)]
+            d1, d2 = (eval_f(spec, ctx, ctx.elem(joint.preimage(y))).bits
+                      for y in (1 << ctx.n, 1))
+            if (d1 in pool_bits and d2 in pool_bits and _combiner_defect(ctx, d1, d2) is None
+                    and not _bivariate_mismatch(ctx, exponents, u, v, table, d1, d2, 1 << ctx.n)):
                 return BivariateCert(
                     ctx.elem(c1), ctx.elem(c2), ctx.elem(c3), ctx.elem(c4),
                     ctx.elem(d1), ctx.elem(d2), e)

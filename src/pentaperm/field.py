@@ -99,6 +99,13 @@ def canonical_modulus(n: int) -> int:
     return c
 
 
+def _reduce_by_pivots(pivots, y: int, src: int) -> tuple[int, int]:
+    # xor pivots into y, and their sources into src, while y's leading bit has one
+    while y and (pivot := pivots.get(y.bit_length() - 1)):
+        y, src = y ^ pivot[0], src ^ pivot[1]
+    return y, src
+
+
 class LinearMap:
     """A GF(2)-linear map on bit masks, given by the images of the basis bits.
 
@@ -108,7 +115,7 @@ class LinearMap:
     gather per byte.  Inputs must have fewer than len(images) bits.
     """
 
-    __slots__ = ("images", "tables", "_arrays")
+    __slots__ = ("images", "tables", "_arrays", "_reduced")
 
     def __init__(self, images):
         self.images = tuple(images)
@@ -118,7 +125,7 @@ class LinearMap:
             for img in self.images[lo:lo + 8]:
                 tab += [v ^ img for v in tab]
             self.tables.append(tab)
-        self._arrays = None
+        self._arrays = self._reduced = None
 
     def __call__(self, x: int) -> int:
         out = 0
@@ -139,24 +146,20 @@ class LinearMap:
         return out
 
     def _echelon(self):
-        # Gaussian elimination on the images in bit order: pivots
-        # {leading bit: (image, source)} with self(source) = image, and the
-        # first k whose image lies in the span of the images before it
-        pivots: dict[int, tuple[int, int]] = {}
-        first_dependent = None
-        for k, img in enumerate(self.images):
-            src = 1 << k
-            while img:
-                top = img.bit_length() - 1
-                if top not in pivots:
-                    pivots[top] = (img, src)
-                    break
-                img ^= pivots[top][0]
-                src ^= pivots[top][1]
-            else:
-                if first_dependent is None:
+        # Gaussian elimination on the images in bit order, once per map:
+        # pivots {leading bit: (image, source)} with self(source) = image,
+        # and the first k whose image lies in the span of the images before it
+        if self._reduced is None:
+            pivots: dict[int, tuple[int, int]] = {}
+            first_dependent = None
+            for k, img in enumerate(self.images):
+                img, src = _reduce_by_pivots(pivots, img, 1 << k)
+                if img:
+                    pivots[img.bit_length() - 1] = (img, src)
+                elif first_dependent is None:
                     first_dependent = k
-        return pivots, first_dependent
+            self._reduced = pivots, first_dependent
+        return self._reduced
 
     def rank(self) -> int:
         return len(self._echelon()[0])
@@ -167,21 +170,17 @@ class LinearMap:
         of some y < x (x ^ y is in the kernel, with leading bit k)."""
         return self._echelon()[1]
 
+    def preimage(self, y: int) -> int | None:
+        """An x with self(x) = y, or None when y is outside the image."""
+        y, src = _reduce_by_pivots(self._echelon()[0], y, 0)
+        return None if y else src
+
     def inverse(self) -> "LinearMap | None":
         """The inverse of a map of n-bit masks onto n-bit masks, or None
         when the rank is below n."""
-        pivots, first_dependent = self._echelon()
-        if first_dependent is not None:
+        if self.first_dependent_bit() is not None:
             return None
-        images = []
-        for j in range(len(self.images)):
-            val, src = 1 << j, 0
-            while val:
-                img, s = pivots[val.bit_length() - 1]
-                val ^= img
-                src ^= s
-            images.append(src)
-        return LinearMap(images)
+        return LinearMap(self.preimage(1 << j) for j in range(len(self.images)))
 
 
 class FieldCtx:

@@ -321,10 +321,10 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
 # ramification over the concrete field
 # ---------------------------------------------------------------------------
 
-def _hasse(exps, k: int) -> list[int]:
-    """The k-th Hasse derivative on exponents: x^e -> C(e, k) x^(e-k), where
-    C(e, k) is odd exactly when e & k == k (Lucas)."""
-    return [e - k for e in exps if e & k == k]
+def _hasse(exps, k: int):
+    """The k-th Hasse derivative on an int64 exponent array: x^e -> C(e, k)
+    x^(e-k), where C(e, k) is odd exactly when e & k == k (Lucas)."""
+    return exps[(exps & k) == k] - k
 
 
 def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
@@ -335,10 +335,12 @@ def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
     substitution x -> 1/x."""
     if alpha is INFINITY:
         return ramification_index(g.flipped(), ctx.zero(), ctx)
+    import numpy as np
+
     a, value = alpha.bits, g.eval_bits(ctx, alpha.bits)
-    terms = (g.reduced_num.exponents(), g.reduced_den.exponents())
+    terms = [np.array(p.exponents(), dtype=np.int64) for p in (g.reduced_num, g.reduced_den)]
     for k in range(1, g.degree + 1):
-        nk, dk = (functools.reduce(int.__xor__, (ctx.pow(a, e) for e in _hasse(ex, k)), 0)
+        nk, dk = (functools.reduce(int.__xor__, (ctx.pow(a, e) for e in _hasse(ex, k).tolist()), 0)
                   for ex in terms)
         if (dk if value is INFINITY else nk ^ ctx.mul(value, dk)):
             return k
@@ -367,7 +369,7 @@ def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
     import numpy as np
 
     size, exp = 1 << ctx.n, ctx.exp_array()
-    num, den = g.reduced_num.exponents(), g.reduced_den.exponents()
+    num, den = (np.array(p.exponents(), dtype=np.int64) for p in (g.reduced_num, g.reduced_den))
     todo = np.arange(len(exp))
     dvals = _sparse_values(exp, todo, den)
     values = ctx.mul_array(_sparse_values(exp, todo, num), ctx.inv_array(dvals))

@@ -250,8 +250,8 @@ def test_brute_cap_in_range_accepted(capsys):
 
 # stdout SHA-256 and exit code of each invocation in each format, so any
 # change to CLI output bytes is deliberate: the README examples (search at
-# a smaller t_max), a second brute range, and equiv at m = 3 for an r = 0
-# and an r > 0 family
+# a smaller t_max), a second brute range, equiv at m = 3 for an r = 0
+# and an r > 0 family, and the full-pool bivariate search at m = 3
 PINNED_OUTPUT = {
     "check --class B --i 5 --j 6 --m 4 --brute": (0, {
         "text": "3cd6f93cc95f6ebb2b6785659f45febad4b20f0caca41eb8b03d90295325af76",
@@ -324,6 +324,12 @@ PINNED_OUTPUT = {
         "json": "a5fb9e2b32c380881cce1c83e5e0edb580121a845e00e30f33c79a369dff96f7",
         "csv": "8e3d51dbfbc621470218eb5fe26a3914408708b154465b4a5d3d09931d64f28d",
         "md": "8e3d51dbfbc621470218eb5fe26a3914408708b154465b4a5d3d09931d64f28d",
+    }),
+    "equiv --class B --i 5 --j 6 --m 3 --pool full": (0, {
+        "text": "5ec6016bff54a79095658ce702ed7f3aefc9e2e35347f4081db61c6845b07010",
+        "json": "7369cdc22e56a47aa70cca6c98dc867a000b4d03d6388ef26435ead9c9b1f8b8",
+        "csv": "5ec6016bff54a79095658ce702ed7f3aefc9e2e35347f4081db61c6845b07010",
+        "md": "5ec6016bff54a79095658ce702ed7f3aefc9e2e35347f4081db61c6845b07010",
     }),
     "search --t-max 10 --m-set 2,3": (0, {
         "text": "f84241437fe5e542c37ea14942ffff7f612fae80600b4d362900250797a6c438",

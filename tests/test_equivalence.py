@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from conftest import all_specs
 
 from pentaperm import equivalence
 from pentaperm.equivalence import (
@@ -162,23 +163,39 @@ def test_bivariate_search_family17_and_row2():
         assert verify_bivariate_cert(cert, spec, 3)
 
 
-def test_bivariate_search_builds_each_combiner_map_once(monkeypatch):
-    # FAMILY17 at m = 3 replays four sound L2; the combiner maps x -> d x
-    # must be built once per search, not once per replay
+def test_bivariate_search_replays_one_combiner_per_sound_l2(monkeypatch):
+    # FAMILY17 at m = 3 meets four sound L2; the combiner is solved from f at
+    # L2^-1(1, 0) and L2^-1(0, 1), so each L2 is replayed at most once, with
+    # one combiner, whose two maps x -> d x are the only ones built
     ctx = make_field(6, 3)
     search_bivariate_cert(FAMILY17, 3)  # warm the per-degree caches
     pool = {p.bits for p in f4_pool(ctx)}
-    built = []
-    times = FieldCtx._times
+    built, replays = [], []
+    times, mismatch = FieldCtx._times, equivalence._bivariate_mismatch
     monkeypatch.setattr(FieldCtx, "_times", lambda self, c: built.append(c) or times(self, c))
+    monkeypatch.setattr(equivalence, "_bivariate_mismatch",
+                        lambda *args: replays.append(args[2:4]) or mismatch(*args))
     assert search_bivariate_cert(FAMILY17, 3) is not None
-    # six combiners (d1, d2 nonzero with d2/d1 in {w, w^2}), two maps each
-    assert len([c for c in built if c in pool]) <= 2 * 6
+    assert len({(u.images, v.images) for u, v in replays}) == len(replays) <= 4
+    assert len([c for c in built if c in pool]) <= 2 * 4
 
 
 def test_bivariate_search_requires_r_zero():
     with pytest.raises(ValueError):
         search_bivariate_cert(FamilySpec("B", 2, 4), 3)
+
+
+@pytest.mark.parametrize("cert_m, m", [(4, 2), (4, 6), (5, 3), (3, 5)])
+def test_certificate_from_another_field_is_refused(cert_m, m):
+    # coefficients of GF(2^(2 cert_m)) replayed at m used to raise IndexError,
+    # return False, or fail as "component-leaves-subfield"
+    if m % 2:
+        verify, cert = verify_bivariate_cert, _thm_bivariate_cert(cert_m)
+    else:
+        verify, cert = verify_monomial_cert, _thm_monomial_cert(cert_m)
+    with pytest.raises(ValueError, match="does not belong") as err:
+        verify(cert, FAMILY17, m)
+    assert type(err.value) is ValueError
 
 
 def test_parity_guards():
@@ -267,6 +284,39 @@ def bivariate_status_pointwise(ctx, fvals, c1, c2, c3, c4, d1, d2, e):
     return "ok", None
 
 
+def bivariate_search_scan(spec, m, pool):
+    """The bivariate search as a scan over combiners: the first sound L2 in
+    pool order, then the first valid combiner (d1, d2 nonzero, d2/d1
+    outside GF(q)) in pool order, that replays point by point."""
+    ctx = make_field(2 * m, m)
+    bits = [p.bits for p in pool]
+    fvals = power_sum_table(ctx, f_exponents(spec, m))
+    zeros = [0] * (1 << ctx.n)  # with d1 = d2 = 0 only structure can fail
+    ratios = {(d1, d2): ctx.mul(d2, ctx.inv(d1))
+              for d1, d2 in itertools.product(bits, repeat=2) if d1 and d2}
+    combiners = [d for d, ratio in ratios.items() if _frob(ctx, ratio) != ratio]
+    for l2 in itertools.product(bits, repeat=4):
+        if bivariate_status_pointwise(ctx, zeros, *l2, 0, 0, spec.t)[0] != "ok":
+            continue
+        for d1, d2 in combiners:
+            if bivariate_status_pointwise(ctx, fvals, *l2, d1, d2, spec.t)[0] == "ok":
+                return BivariateCert(*(ctx.elem(c) for c in (*l2, d1, d2)), spec.t)
+    return None
+
+
+# pools as bit masks, None for F_4: the whole of GF(4) at m = 1, and at m = 3
+# a subset for which some sound L2 solve to a combiner outside the pool
+@pytest.mark.parametrize("m, pool_bits", [(1, None), (3, None), (1, range(4)),
+                                          (3, (13, 24, 28, 30, 41, 48, 50, 63))])
+def test_solved_bivariate_search_equals_combiner_scan(m, pool_bits):
+    ctx = make_field(2 * m, m)
+    pool = f4_pool(ctx) if pool_bits is None else [ctx.elem(b) for b in pool_bits]
+    specs = [spec for spec in all_specs(4) if r_closed_form(spec) == 0]
+    assert specs
+    for spec in specs:
+        assert search_bivariate_cert(spec, m, pool) == bivariate_search_scan(spec, m, pool)
+
+
 REPLAY_SPECS = [FAMILY17, FamilySpec("A", 3, 1), FamilySpec("C", 2, 2), FamilySpec("B", 2, 4)]
 
 
@@ -317,7 +367,7 @@ def test_first_structural_failure_is_at_a_power_of_two():
     late = set()
     for c1, c2, c3, c4 in cases:
         want, x = bivariate_status_pointwise(ctx, zeros, c1, c2, c3, c4, 0, 0, 97)
-        b, got = equivalence._first_structural_failure(
+        b, got, _ = equivalence._first_structural_failure(
             ctx, ctx.linearized(c2, c1), ctx.linearized(c4, c3))
         assert got == want
         if want != "ok":

@@ -352,6 +352,22 @@ ARRAY_DEGREES = st.sampled_from([1, 16, 17, 40]) | st.integers(1, 40)
 
 
 @given(n=ARRAY_DEGREES, data=st.data())
+def test_field_axioms(n, data):
+    # n <= 16 multiplies through the log tables, larger n through clmul + fold
+    ctx = make_field(n)
+    a, b, c = data.draw(st.tuples(*[st.integers(0, ctx.order)] * 3))
+    e1, e2 = data.draw(st.tuples(st.integers(0, 1 << 42), st.integers(0, 1 << 42)))
+    mul = ctx.mul
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
+    assert mul(a, 1) == a
+    if a:
+        assert mul(a, ctx.inv(a)) == 1
+    assert ctx.pow(a, e1 + e2) == mul(ctx.pow(a, e1), ctx.pow(a, e2))
+
+
+@given(n=ARRAY_DEGREES, data=st.data())
 def test_mul_array_is_field_multiplication(n, data):
     ctx = make_field(n)
     element = st.integers(0, ctx.order)
@@ -412,7 +428,7 @@ def test_linear_map_is_the_xor_of_basis_images(case):
 
 @given(case=linear_maps(max_n=12))
 def test_rank_and_first_dependent_bit_match_enumeration(case):
-    images, _ = case
+    images, xs = case
     lin = LinearMap(images)
     # the first k with images[k] in the span of images[:k], by enumerating the span
     span, first = {0}, None
@@ -424,6 +440,9 @@ def test_rank_and_first_dependent_bit_match_enumeration(case):
     assert lin.first_dependent_bit() == first
     assert 1 << lin.rank() == len(span)
     assert (lin.inverse() is None) == (first is not None)
+    for y in images + xs + [lin(x) for x in xs]:
+        x = lin.preimage(y)
+        assert lin(x) == y if y in span else x is None
 
 
 @given(n=st.integers(1, 24), data=st.data())
