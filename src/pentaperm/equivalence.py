@@ -8,14 +8,17 @@ coefficients involved; verification replays the factorization over the
 whole field, so a verified certificate is an exhaustively checked proof
 of linear equivalence for that (family, m).
 
-Replay runs on numpy blocks of oracle's power-sum walk, and every
-linearized map is a field.LinearMap.  Monomial replay walks u = L2(x) in
-discrete-log order, where the walk also yields u^e, and compares L1(u^e)
-with f at L2^-1(u).  Bivariate replay reports the first failing x in bit
-order: "leaves-subfield", then "not-injective", then "mismatch".  The
-two structural conditions are GF(2)-linear, so their first failure is a
-power of two, 2^b, read off the basis images; mismatches are sought only
-below 2^b.
+Both factorizations say that f is the xor of outer(inner(x)^e) over one
+or two pairs of linear maps (field.LinearMap): (L1, L2) for the monomial,
+and (x -> d1 x, u), (x -> d2 x, v) for the bivariate form with
+L2 = (u, v).  One replay checks either, in slices of x in bit order,
+against bit-order tables of f and of x^e from oracle's power sum; each
+search or verify call builds the two tables once (two 64 MB uint32 arrays
+at n = 24).  Replay never inverts L2.  Bivariate replay reports the first
+failing x in bit order: "leaves-subfield", then "not-injective", then
+"mismatch".  The two structural conditions are GF(2)-linear, so their
+first failure is a power of two, 2^b, read off the basis images;
+mismatches are sought only below 2^b, a prefix in bit order.
 
 Certificates are searched over a coefficient pool, by default the four
 elements of F_4, since every known explicit certificate uses them; pool
@@ -32,9 +35,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .families import FamilySpec, eval_f, f_exponents
-from .field import FieldCtx, FieldElem, LinearMap, make_field, omega
-from .oracle import _power_sum_array, _power_sum_blocks
+from .families import FamilySpec, f_exponents
+from .field import _CHUNK, FieldCtx, FieldElem, LinearMap, make_field, omega
+from .oracle import _power_sum_array
 from .theory import r_closed_form
 
 __all__ = [
@@ -110,27 +113,37 @@ def f4_pool(ctx: FieldCtx) -> tuple[FieldElem, ...]:
     return tuple(ctx.elem(b) for b in sorted({0, 1, w.bits, ctx.sqr(w.bits)}))
 
 
-def _monomial_matches(ctx, ftab, l1: LinearMap, l2_inverse: LinearMap, e: int) -> bool:
-    """Whether L1(L2(x)^e) = f(x) at every x, with f in bit order in ftab.
+def _replay_mismatch(ftab, ptab, terms, limit: int) -> bool:
+    """Whether the xor of outer(ptab[inner(x)]) over the (outer, inner)
+    pairs of linear maps in terms differs from ftab[x] at some x < limit.
 
-    x = 0 is checked by scalar pow (0^e = 0 for e != 0); every other point
-    is walked as u = L2(x) = g^k in discrete-log order, where the blocks of
-    the power sum of x^e give u^e, and compared block by block with f at
-    L2^-1(u).  Returns at the first block with a mismatch.
+    ftab is f and ptab is x^e, both in bit order.  x runs in slices of
+    _CHUNK points and the replay stops at the first slice with a mismatch.
+    x = 0 needs no care: linear maps fix 0, and f(0) = 0^e = 0.
     """
     import numpy as np
 
-    if l1(ctx.pow(0, e)) != ftab[0]:
-        return False
-    for us, powers in _power_sum_blocks(ctx, [e]):
-        if np.any(l1.apply(powers) != ftab[l2_inverse.apply(us)]):
-            return False
-    return True
+    for lo in range(0, limit, _CHUNK):
+        xs = np.arange(lo, min(lo + _CHUNK, limit), dtype=np.int64)
+        diff = ftab[xs].astype(np.int64)
+        for outer, inner in terms:
+            diff ^= outer.apply(ptab[inner.apply(xs)])
+        if diff.any():
+            return True
+    return False
+
+
+def _tables(ctx, spec: FamilySpec, m: int, e: int):
+    """(ftab, ptab): f and x^e over the whole field in bit order."""
+    return _power_sum_array(ctx, f_exponents(spec, m)), _power_sum_array(ctx, [e])
 
 
 def _cert_field(cert, m: int) -> FieldCtx:
     """make_field(2m, m), refusing a certificate with a coefficient from
-    another context before any replay."""
+    another context, or an exponent below 1 (replay takes 0^e = 0), before
+    any replay."""
+    if cert.e < 1:
+        raise ValueError("certificate exponent must be positive")
     ctx = make_field(2 * m, m)
     if any(c.ctx != ctx for c in vars(cert).values() if isinstance(c, FieldElem)):
         raise ValueError("certificate coefficient does not belong to the given context")
@@ -146,13 +159,12 @@ def verify_monomial_cert(cert: MonomialCert, spec: FamilySpec, m: int) -> bool:
     if m % 2:
         raise ValueError("monomial certificates apply to even m")
     ctx = _cert_field(cert, m)
-    maps = {}
+    maps = []
     for name, (a, b) in (("L1", (cert.a1, cert.b1)), ("L2", (cert.a2, cert.b2))):
-        maps[name] = ctx.linearized(a.bits, b.bits)
-        if maps[name].rank() < ctx.n:
+        maps.append(ctx.linearized(a.bits, b.bits))
+        if maps[-1].rank() < ctx.n:
             raise CertificateError("not-invertible", f"{name} is not a permutation")
-    ftab = _power_sum_array(ctx, f_exponents(spec, m))
-    return _monomial_matches(ctx, ftab, maps["L1"], maps["L2"].inverse(), cert.e)
+    return not _replay_mismatch(*_tables(ctx, spec, m, cert.e), [maps], 1 << ctx.n)
 
 
 def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | None:
@@ -167,18 +179,16 @@ def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = monomial_exponent(spec, m)
-    ftab = _power_sum_array(ctx, f_exponents(spec, m))
-    samples = [b for b in (1, 2, 3, 5) if b < (1 << ctx.n)]
-    # each linearized map and its inverse (None if singular), built once
+    ftab, ptab = _tables(ctx, spec, m, e)
+    samples = [(x, int(ftab[x])) for x in (1, 2, 3, 5) if x < (1 << ctx.n)]
+    # each invertible linearized map, built once, in scan order
     maps = {ab: ctx.linearized(*ab) for ab in itertools.product(pool_bits, repeat=2)}
-    inverses = {ab: lin.inverse() for ab, lin in maps.items()}
-    for a1, b1, a2, b2 in itertools.product(pool_bits, repeat=4):
-        l1, l2, l2_inverse = maps[a1, b1], maps[a2, b2], inverses[a2, b2]
-        if inverses[a1, b1] is None or l2_inverse is None:
+    maps = {ab: lin for ab, lin in maps.items() if lin.rank() == ctx.n}
+    for (a1, b1), (a2, b2) in itertools.product(maps, repeat=2):
+        l1, l2 = maps[a1, b1], maps[a2, b2]
+        if any(l1(int(ptab[l2(x)])) != fx for x, fx in samples):
             continue
-        if any(l1(ctx.pow(l2(x), e)) != ftab[x] for x in samples):
-            continue
-        if _monomial_matches(ctx, ftab, l1, l2_inverse, e):
+        if not _replay_mismatch(ftab, ptab, [(l1, l2)], 1 << ctx.n):
             return MonomialCert(ctx.elem(a1), ctx.elem(b1),
                                 ctx.elem(a2), ctx.elem(b2), e)
     return None
@@ -206,19 +216,6 @@ def _first_structural_failure(ctx, u: LinearMap, v: LinearMap) -> tuple[int, str
     return ctx.n, "ok", joint
 
 
-def _subfield_power_table(ctx, e: int):
-    """(elements, powers): GF(q) in sorted bit order and each element's e-th
-    power, aligned, so x^e of subfield arrays is a searchsorted lookup."""
-    import numpy as np
-
-    sub = ctx._subgroup((1 << ctx.subfield_m) - 1)  # GF(q)* as h^k; (h^k)^e = h^(ke)
-    elements = np.concatenate(([0], sub))
-    logs = np.arange(len(sub)) * (e % len(sub)) % len(sub)
-    powers = np.concatenate(([ctx.pow(0, e)], sub[logs]))
-    order = np.argsort(elements)
-    return elements[order], powers[order]
-
-
 def _combiner_defect(ctx, d1: int, d2: int) -> str | None:
     """Why L1(u, v) = d1 u + d2 v is not injective on GF(q)^2, or None: d1
     and d2 must be nonzero with their ratio outside the base field."""
@@ -230,38 +227,13 @@ def _combiner_defect(ctx, d1: int, d2: int) -> str | None:
     return None
 
 
-def _bivariate_mismatch(ctx, exponents, u, v, table, d1: int, d2: int, limit: int) -> bool:
-    """Whether d1 u(x)^e + d2 v(x)^e differs from f(x) at some x < limit,
-    with table from _subfield_power_table.
-
-    u and v must land in GF(q) below limit.  x = 0 is checked by scalar
-    pow (f(0) = 0); the other points are walked in the blocks of f's power
-    sum, and the walk stops at the first block with a mismatch.
-    """
-    import numpy as np
-
-    elements, powers = table
-    t1, t2 = ctx._times(d1), ctx._times(d2)
-    if t1(int(powers[0])) != t2(int(powers[0])):
-        return True
-    for xs, fx in _power_sum_blocks(ctx, exponents):
-        if limit < 1 << ctx.n:
-            below = xs < limit
-            xs, fx = xs[below], fx[below]
-        ue = powers[np.searchsorted(elements, u.apply(xs))]
-        ve = powers[np.searchsorted(elements, v.apply(xs))]
-        if np.any(t1.apply(ue) ^ t2.apply(ve) != fx):
-            return True
-    return False
-
-
-def _bivariate_status(ctx, exponents, c1, c2, c3, c4, d1, d2, e) -> str:
+def _bivariate_status(ctx, ftab, ptab, c1, c2, c3, c4, d1, d2) -> str:
     """'ok', 'leaves-subfield', 'not-injective', or 'mismatch': the status
     at the first failing x in bit order, so a mismatch counts only below
     the first structural failure."""
     u, v = ctx.linearized(c2, c1), ctx.linearized(c4, c3)
     b, status, _ = _first_structural_failure(ctx, u, v)
-    if _bivariate_mismatch(ctx, exponents, u, v, _subfield_power_table(ctx, e), d1, d2, 1 << b):
+    if _replay_mismatch(ftab, ptab, [(ctx._times(d1), u), (ctx._times(d2), v)], 1 << b):
         return "mismatch"
     return status
 
@@ -281,8 +253,8 @@ def verify_bivariate_cert(cert: BivariateCert, spec: FamilySpec, m: int) -> bool
     if defect:
         raise CertificateError("degenerate-combiner", defect)
     status = _bivariate_status(
-        ctx, f_exponents(spec, m), cert.c1.bits, cert.c2.bits, cert.c3.bits,
-        cert.c4.bits, d1, d2, cert.e)
+        ctx, *_tables(ctx, spec, m, cert.e), cert.c1.bits, cert.c2.bits,
+        cert.c3.bits, cert.c4.bits, d1, d2)
     if status == "leaves-subfield":
         raise CertificateError("component-leaves-subfield")
     if status == "not-injective":
@@ -304,8 +276,7 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = spec.t
-    exponents = f_exponents(spec, m)
-    table = _subfield_power_table(ctx, e)
+    ftab, ptab = _tables(ctx, spec, m, e)
     # components c x^q + c' x that land in GF(q) at every x, in scan order
     components = {}
     for c1, c2 in itertools.product(pool_bits, repeat=2):
@@ -320,10 +291,10 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
             _, status, joint = _first_structural_failure(ctx, u, v)
             if status != "ok":
                 continue
-            d1, d2 = (eval_f(spec, ctx, ctx.elem(joint.preimage(y))).bits
-                      for y in (1 << ctx.n, 1))
+            d1, d2 = (int(ftab[joint.preimage(y)]) for y in (1 << ctx.n, 1))
             if (d1 in pool_bits and d2 in pool_bits and _combiner_defect(ctx, d1, d2) is None
-                    and not _bivariate_mismatch(ctx, exponents, u, v, table, d1, d2, 1 << ctx.n)):
+                    and not _replay_mismatch(
+                        ftab, ptab, [(ctx._times(d1), u), (ctx._times(d2), v)], 1 << ctx.n)):
                 return BivariateCert(
                     ctx.elem(c1), ctx.elem(c2), ctx.elem(c3), ctx.elem(c4),
                     ctx.elem(d1), ctx.elem(d2), e)

@@ -15,7 +15,7 @@ by a constant (FieldCtx._times), the fold that reduces a carryless
 product, the Frobenius x -> x^q (FieldCtx.frobenius) and the linearized
 binomials a x + b x^q (FieldCtx.linearized) are all instances.  Gaussian
 elimination on the image bit masks gives a map's rank, its first
-dependent basis bit, and its inverse.
+dependent basis bit, and a preimage of any point in its image.
 
 Arrays of elements multiply by shift-and-add over the n bits of one
 operand (FieldCtx.mul_array) and invert by Itoh-Tsujii (inv_array), in
@@ -174,13 +174,6 @@ class LinearMap:
         """An x with self(x) = y, or None when y is outside the image."""
         y, src = _reduce_by_pivots(self._echelon()[0], y, 0)
         return None if y else src
-
-    def inverse(self) -> "LinearMap | None":
-        """The inverse of a map of n-bit masks onto n-bit masks, or None
-        when the rank is below n."""
-        if self.first_dependent_bit() is not None:
-            return None
-        return LinearMap(self.preimage(1 << j) for j in range(len(self.images)))
 
 
 class FieldCtx:

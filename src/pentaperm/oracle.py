@@ -90,6 +90,12 @@ INFINITY = _Infinity()
 ProjPoint = FieldElem | _Infinity
 
 
+def _check_owner(ctx: FieldCtx, point: ProjPoint) -> None:
+    """Refuse a point of another context before any work with it."""
+    if point is not INFINITY and point.ctx != ctx:
+        raise ValueError("element does not belong to the given context")
+
+
 # ---------------------------------------------------------------------------
 # permutation sweeps
 # ---------------------------------------------------------------------------
@@ -268,8 +274,7 @@ def g_eval(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> ProjPoint:
     """Value of the reduced g at x; INFINITY where the reduced denominator dies."""
     if ctx.subfield_m is None:
         raise ValueError("g_eval needs a context with subfield structure")
-    if x.ctx != ctx:
-        raise ValueError("element does not belong to the given context")
+    _check_owner(ctx, x)
     return g_map(spec).eval(ctx, x)
 
 
@@ -333,6 +338,7 @@ def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
     (D^k D)(alpha) != 0 at a pole, for the reduced N and D, each derivative
     summed term by term.  The index at infinity is computed through the
     substitution x -> 1/x."""
+    _check_owner(ctx, alpha)
     if alpha is INFINITY:
         return ramification_index(g.flipped(), ctx.zero(), ctx)
     import numpy as np
@@ -351,6 +357,7 @@ def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> 
     """N'(a)D(a) + N(a)D'(a); zero is necessary at every ramification point."""
     from .gf2poly import poly_derivative
 
+    _check_owner(ctx, alpha)
     a = alpha.bits
     n, d = g.reduced_num, g.reduced_den
     nv = ctx.eval_poly_bits(n.bits, a)
@@ -473,6 +480,7 @@ def deg1_bijects_mu(rho: DegreeOneMap, ctx: FieldCtx) -> bool:
     """
     if ctx.subfield_m is None:
         raise ValueError("needs a context with subfield structure")
+    _check_owner(ctx, rho.a)
     a, b, c, d = rho.a.bits, rho.b.bits, rho.c.bits, rho.d.bits
     if c == 0 and b == 0:
         return _in_mu(ctx, ctx.mul(a, ctx.inv(d)))
@@ -489,6 +497,7 @@ def deg1_bijects_mu(rho: DegreeOneMap, ctx: FieldCtx) -> bool:
 
 def deg1_bijects_mu_by_enumeration(rho: DegreeOneMap, ctx: FieldCtx) -> bool:
     """Ground truth for deg1_bijects_mu: walk the circle and compare images."""
+    _check_owner(ctx, rho.a)
     mu = ctx._subgroup((1 << ctx.subfield_m) + 1).tolist()
     image = set()
     for bits in mu:
@@ -507,6 +516,7 @@ def deg1_mu_to_p1(l: DegreeOneMap, ctx: FieldCtx) -> bool:
     """
     if ctx.subfield_m is None:
         raise ValueError("needs a context with subfield structure")
+    _check_owner(ctx, l.a)
     a, b, c, d = l.a.bits, l.b.bits, l.c.bits, l.d.bits
     if c == 0:
         return False
@@ -519,6 +529,7 @@ def deg1_mu_to_p1(l: DegreeOneMap, ctx: FieldCtx) -> bool:
 
 def deg1_mu_to_p1_by_enumeration(l: DegreeOneMap, ctx: FieldCtx) -> bool:
     """Ground truth for deg1_mu_to_p1: the image must be all of P1(F_q)."""
+    _check_owner(ctx, l.a)
     mu = ctx._subgroup((1 << ctx.subfield_m) + 1).tolist()
     image = set()
     saw_infinity = False

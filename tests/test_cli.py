@@ -251,7 +251,8 @@ def test_brute_cap_in_range_accepted(capsys):
 # stdout SHA-256 and exit code of each invocation in each format, so any
 # change to CLI output bytes is deliberate: the README examples (search at
 # a smaller t_max), a second brute range, equiv at m = 3 for an r = 0
-# and an r > 0 family, and the full-pool bivariate search at m = 3
+# and an r > 0 family, the full-pool bivariate search at m = 3, and equiv
+# at m = 9 and 10, where replay runs over more than one slice of points
 PINNED_OUTPUT = {
     "check --class B --i 5 --j 6 --m 4 --brute": (0, {
         "text": "3cd6f93cc95f6ebb2b6785659f45febad4b20f0caca41eb8b03d90295325af76",
@@ -330,6 +331,18 @@ PINNED_OUTPUT = {
         "json": "7369cdc22e56a47aa70cca6c98dc867a000b4d03d6388ef26435ead9c9b1f8b8",
         "csv": "5ec6016bff54a79095658ce702ed7f3aefc9e2e35347f4081db61c6845b07010",
         "md": "5ec6016bff54a79095658ce702ed7f3aefc9e2e35347f4081db61c6845b07010",
+    }),
+    "equiv --class A --i 3 --j 1 --m 9": (0, {
+        "text": "f819efba693af07e06c503e398174b0680043f96fe7b966c1344fb3c8b4e67b2",
+        "json": "6f504ff65ab2140d8d46494280972f46b306dba59bce4d1705830da2d5a6adf0",
+        "csv": "f819efba693af07e06c503e398174b0680043f96fe7b966c1344fb3c8b4e67b2",
+        "md": "f819efba693af07e06c503e398174b0680043f96fe7b966c1344fb3c8b4e67b2",
+    }),
+    "equiv --class B --i 5 --j 6 --m 10": (0, {
+        "text": "242a466736ee77c642ecace938d099f7b502bc097cc9964795c134f53b216812",
+        "json": "b5e3854828819e2d32b16b44662c1c8039c327d1f2ede6621d0d35bc6e6afc29",
+        "csv": "242a466736ee77c642ecace938d099f7b502bc097cc9964795c134f53b216812",
+        "md": "242a466736ee77c642ecace938d099f7b502bc097cc9964795c134f53b216812",
     }),
     "search --t-max 10 --m-set 2,3": (0, {
         "text": "f84241437fe5e542c37ea14942ffff7f612fae80600b4d362900250797a6c438",

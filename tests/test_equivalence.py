@@ -1,10 +1,13 @@
 """Unit tests for linear-equivalence certificates and their searches."""
 
+import dataclasses
 import itertools
 import math
 
 import pytest
 from conftest import all_specs
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pentaperm import equivalence
 from pentaperm.equivalence import (
@@ -20,7 +23,7 @@ from pentaperm.equivalence import (
 )
 from pentaperm.families import FamilySpec, f_exponents
 from pentaperm.field import FieldCtx, make_field, omega
-from pentaperm.oracle import _power_sum_array, brute_is_permutation, power_sum_table
+from pentaperm.oracle import brute_is_permutation, power_sum_table
 from pentaperm.theory import r_closed_form
 
 FAMILY17 = FamilySpec("B", 5, 6)
@@ -171,12 +174,13 @@ def test_bivariate_search_replays_one_combiner_per_sound_l2(monkeypatch):
     search_bivariate_cert(FAMILY17, 3)  # warm the per-degree caches
     pool = {p.bits for p in f4_pool(ctx)}
     built, replays = [], []
-    times, mismatch = FieldCtx._times, equivalence._bivariate_mismatch
+    times, mismatch = FieldCtx._times, equivalence._replay_mismatch
     monkeypatch.setattr(FieldCtx, "_times", lambda self, c: built.append(c) or times(self, c))
-    monkeypatch.setattr(equivalence, "_bivariate_mismatch",
-                        lambda *args: replays.append(args[2:4]) or mismatch(*args))
+    monkeypatch.setattr(equivalence, "_replay_mismatch",
+                        lambda *args: replays.append(args[2]) or mismatch(*args))
     assert search_bivariate_cert(FAMILY17, 3) is not None
-    assert len({(u.images, v.images) for u, v in replays}) == len(replays) <= 4
+    inners = {tuple(inner.images for _, inner in terms) for terms in replays}
+    assert len(inners) == len(replays) <= 4
     assert len([c for c in built if c in pool]) <= 2 * 4
 
 
@@ -196,6 +200,17 @@ def test_certificate_from_another_field_is_refused(cert_m, m):
     with pytest.raises(ValueError, match="does not belong") as err:
         verify(cert, FAMILY17, m)
     assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_nonpositive_exponent_is_refused(m):
+    # replay reads 0^e = 0, which fails for e = 0
+    if m % 2:
+        verify, cert = verify_bivariate_cert, _thm_bivariate_cert(m)
+    else:
+        verify, cert = verify_monomial_cert, _thm_monomial_cert(m)
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        verify(dataclasses.replace(cert, e=0), FAMILY17, m)
 
 
 def test_parity_guards():
@@ -320,21 +335,47 @@ def test_solved_bivariate_search_equals_combiner_scan(m, pool_bits):
 REPLAY_SPECS = [FAMILY17, FamilySpec("A", 3, 1), FamilySpec("C", 2, 2), FamilySpec("B", 2, 4)]
 
 
+def _monomial_replay_matches(ctx, ftab, ptab, a1, b1, a2, b2):
+    terms = [(ctx.linearized(a1, b1), ctx.linearized(a2, b2))]
+    return not equivalence._replay_mismatch(ftab, ptab, terms, 1 << ctx.n)
+
+
 @pytest.mark.parametrize("m", [2, 4])
 def test_monomial_replay_equals_pointwise_on_f4_pool(m):
+    # every tuple, singular maps included: replay reads x^e at L2(x)
     ctx = make_field(2 * m, m)
     pool = [p.bits for p in f4_pool(ctx)]
     for spec in REPLAY_SPECS:
         fvals = power_sum_table(ctx, f_exponents(spec, m))
-        ftab = _power_sum_array(ctx, f_exponents(spec, m))
         for e in (monomial_exponent(spec, m), spec.t):
-            for a1, b1, a2, b2 in itertools.product(pool, repeat=4):
-                l2_inverse = ctx.linearized(a2, b2).inverse()
-                if l2_inverse is None:
-                    continue  # replay walks u = L2(x), so L2 must be invertible
-                got = equivalence._monomial_matches(
-                    ctx, ftab, ctx.linearized(a1, b1), l2_inverse, e)
-                assert got == monomial_matches_pointwise(ctx, fvals, a1, b1, a2, b2, e)
+            tables = equivalence._tables(ctx, spec, m, e)
+            for tup in itertools.product(pool, repeat=4):
+                got = _monomial_replay_matches(ctx, *tables, *tup)
+                assert got == monomial_matches_pointwise(ctx, fvals, *tup, e)
+
+
+@given(data=st.data(), m=st.sampled_from([1, 2]), spec=st.sampled_from(REPLAY_SPECS))
+def test_monomial_replay_equals_pointwise(data, m, spec):
+    ctx = make_field(2 * m, m)
+    tup = data.draw(st.tuples(*[st.integers(0, ctx.order)] * 4))
+    e = data.draw(st.sampled_from([monomial_exponent(spec, m), spec.t]))
+    fvals = power_sum_table(ctx, f_exponents(spec, m))
+    got = _monomial_replay_matches(ctx, *equivalence._tables(ctx, spec, m, e), *tup)
+    assert got == monomial_matches_pointwise(ctx, fvals, *tup, e)
+
+
+@given(data=st.data(), m=st.sampled_from([1, 3]), spec=st.sampled_from(REPLAY_SPECS[:2]))
+def test_bivariate_replay_equals_pointwise(data, m, spec):
+    ctx = make_field(2 * m, m)
+    c1, c2, c3, c4, d1, d2 = data.draw(st.tuples(*[st.integers(0, ctx.order)] * 6))
+    # c x^q + c' x lands in GF(q) iff c = c'^q: take that half the time
+    c1, c3 = (_frob(ctx, c_) if data.draw(st.booleans()) else c for c, c_ in ((c1, c2), (c3, c4)))
+    tup = c1, c2, c3, c4, d1, d2
+    fvals = power_sum_table(ctx, f_exponents(spec, m))
+    want, _ = bivariate_status_pointwise(ctx, fvals, *tup, spec.t)
+    # _bivariate_status replays below the first structural failure
+    tables = equivalence._tables(ctx, spec, m, spec.t)
+    assert equivalence._bivariate_status(ctx, *tables, *tup) == want
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -345,9 +386,10 @@ def test_bivariate_replay_equals_pointwise_on_f4_pool(m):
     for spec in REPLAY_SPECS[:2]:
         exps = f_exponents(spec, m)
         fvals = power_sum_table(ctx, exps)
+        ftab, ptab = equivalence._tables(ctx, spec, m, spec.t)
         for tup in itertools.product(pool, repeat=6):
             want, _ = bivariate_status_pointwise(ctx, fvals, *tup, spec.t)
-            assert equivalence._bivariate_status(ctx, exps, *tup, spec.t) == want
+            assert equivalence._bivariate_status(ctx, ftab, ptab, *tup) == want
             statuses.add(want)
     assert statuses == {"ok", "leaves-subfield", "not-injective", "mismatch"}
 
@@ -364,6 +406,7 @@ def test_first_structural_failure_is_at_a_power_of_two():
     cases += [(0, c, w2, w) for c in range(1 << ctx.n)]
     zeros = [0] * (1 << ctx.n)  # with d1 = d2 = 0 nothing mismatches
     fvals = power_sum_table(ctx, f_exponents(FAMILY17, m))
+    ftab, ptab = equivalence._tables(ctx, FAMILY17, m, 97)
     late = set()
     for c1, c2, c3, c4 in cases:
         want, x = bivariate_status_pointwise(ctx, zeros, c1, c2, c3, c4, 0, 0, 97)
@@ -376,6 +419,5 @@ def test_first_structural_failure_is_at_a_power_of_two():
                 late.add(want)
         # with a real f and combiner a mismatch below 2^b comes first
         want, _ = bivariate_status_pointwise(ctx, fvals, c1, c2, c3, c4, w, w2, 97)
-        assert equivalence._bivariate_status(
-            ctx, f_exponents(FAMILY17, m), c1, c2, c3, c4, w, w2, 97) == want
+        assert equivalence._bivariate_status(ctx, ftab, ptab, c1, c2, c3, c4, w, w2) == want
     assert late == {"not-injective", "leaves-subfield"}

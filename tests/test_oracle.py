@@ -572,6 +572,26 @@ def test_deg1_procedures_agree_with_enumeration(rng):
     assert total >= 1000
 
 
+FOREIGN = make_field(6, 3)  # points and maps over GF(64), queried with GF(16)
+FOREIGN_MAP = DegreeOneMap(FOREIGN.elem(50), FOREIGN.one(), FOREIGN.zero(), FOREIGN.one())
+
+
+@pytest.mark.parametrize("query", [
+    lambda ctx: ramification_index(g_map(FamilySpec("B", 5, 6)), FOREIGN.elem(50), ctx),
+    lambda ctx: ramification_index(g_map(FamilySpec("B", 5, 6)), FOREIGN.elem(5), ctx),
+    lambda ctx: critical_point_residual(g_map(FamilySpec("B", 5, 6)), FOREIGN.elem(50), ctx),
+    lambda ctx: deg1_bijects_mu(FOREIGN_MAP, ctx),
+    lambda ctx: deg1_bijects_mu_by_enumeration(FOREIGN_MAP, ctx),
+    lambda ctx: deg1_mu_to_p1(FOREIGN_MAP, ctx),
+    lambda ctx: deg1_mu_to_p1_by_enumeration(FOREIGN_MAP, ctx),
+], ids=["index", "index-in-range", "residual", "bijects", "bijects-enum", "to-p1", "to-p1-enum"])
+def test_foreign_context_point_is_refused(query):
+    # unchecked, these raise IndexError or answer in GF(16) for a GF(64) input
+    with pytest.raises(ValueError, match="does not belong") as err:
+        query(make_field(4, 2))
+    assert type(err.value) is ValueError
+
+
 def test_degenerate_deg1_map_rejected():
     ctx = make_field(4, 2)
     with pytest.raises(ValueError):
