@@ -138,11 +138,14 @@ class GeneralPentanomial:
 
     def h_poly(self) -> BinPoly:
         """H(x) = 1 + x^r1 + x^r2 + x^r3 + x^r4."""
-        return BinPoly.from_exponents((0,) + self.rs)
+        r1, r2, r3, r4 = self.rs
+        return BinPoly(1 | 1 << r1 | 1 << r2 | 1 << r3 | 1 << r4)
 
     def n_poly(self) -> BinPoly:
-        """N(x) = x^t * H(1/x)."""
-        return poly_reverse(self.h_poly(), self.t)
+        """N(x) = x^t * H(1/x) = x^t + x^(t-r1) + ... + x^(t-r4)."""
+        t = self.t
+        r1, r2, r3, r4 = self.rs
+        return BinPoly(1 << t | 1 << (t - r1) | 1 << (t - r2) | 1 << (t - r3) | 1 << (t - r4))
 
     def exponents(self, m: int) -> tuple[int, ...]:
         """Field exponents at q = 2^m: t and r_k(q-1)+t."""
@@ -152,7 +155,7 @@ class GeneralPentanomial:
 
 def gcd_condition(p: GeneralPentanomial) -> bool:
     """The coprimality sieve: gcd(H, N) = 1 for the shape's pair."""
-    return poly_gcd(p.h_poly(), p.n_poly()) == BinPoly(1)
+    return poly_gcd(p.h_poly(), p.n_poly()).bits == 1
 
 
 def family_shape(spec: FamilySpec) -> GeneralPentanomial | None:

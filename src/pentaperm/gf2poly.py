@@ -77,8 +77,12 @@ def _divmod(a: int, b: int) -> tuple[int, int]:
 
 
 def _gcd(a: int, b: int) -> int:
+    # Euclid on remainders alone: no quotient is built
     while b:
-        a, b = b, _divmod(a, b)[1]
+        db = b.bit_length()
+        while (da := a.bit_length()) >= db:
+            a ^= b << (da - db)
+        a, b = b, a
     return a
 
 

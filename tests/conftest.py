@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from pentaperm import oracle
 from pentaperm.families import CLASSES, FamilySpec
 
 # property tests draw the same examples on every run, with no time limit
@@ -23,3 +24,8 @@ def all_specs(i_max, j_max=None):
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+def power_sum_table(ctx, exponents):
+    """xor of x^e over the positive exponents at every x, indexed by x's bit mask."""
+    return oracle._power_sum_array(ctx, exponents).tolist()

@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from conftest import all_specs
+from conftest import all_specs, power_sum_table
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from pentaperm.equivalence import (
 )
 from pentaperm.families import FamilySpec, f_exponents
 from pentaperm.field import FieldCtx, make_field, omega
-from pentaperm.oracle import brute_is_permutation, power_sum_table
+from pentaperm.oracle import brute_is_permutation
 from pentaperm.theory import r_closed_form
 
 FAMILY17 = FamilySpec("B", 5, 6)

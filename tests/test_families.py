@@ -1,6 +1,7 @@
 """Unit tests for the family constructors and the 17-row registry."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -136,6 +137,15 @@ def test_gcd_condition_matches_q_multiplicity_for_family_shapes():
             continue
         r = q_multiplicity(poly_gcd(build_H(spec), build_N(spec)))
         assert gcd_condition(shape) == (r == 0)
+
+
+def test_shape_masks_equal_their_definitions():
+    # h_poly and n_poly build their bit masks directly; every shape up to t = 12
+    for t in range(4, 13):
+        for rs in combinations(range(1, t + 1), 4):
+            shape = GeneralPentanomial(t, rs)
+            assert shape.h_poly() == BinPoly.from_exponents((0,) + rs)
+            assert shape.n_poly() == poly_reverse(shape.h_poly(), t)
 
 
 def test_general_pentanomial_validation():

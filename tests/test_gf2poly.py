@@ -9,6 +9,7 @@ from pentaperm.field import make_field, omega
 from pentaperm.gf2poly import (
     BinPoly,
     Q,
+    _gcd,
     poly_derivative,
     poly_divmod,
     poly_eval,
@@ -227,3 +228,18 @@ def test_degree_marker():
 def test_pow():
     assert Q**0 == ONE
     assert Q**4 == P("x^8+x^4+1")
+
+
+def _gcd_by_divmod(a, b):
+    """Euclid's algorithm through poly_divmod, quotient and all."""
+    while b:
+        a, b = b, poly_divmod(BinPoly(a), BinPoly(b))[1].bits
+    return a
+
+
+MASKS = st.one_of(st.just(0), st.integers(0, (1 << 64) - 1))
+
+
+@given(a=MASKS, b=MASKS)
+def test_remainder_only_gcd_equals_divmod_euclid(a, b):
+    assert _gcd(a, b) == _gcd_by_divmod(a, b)

@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracles: sweeps, g on the circle,
 ramification, and the degree-one-map classification procedures."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_specs
+from conftest import all_specs, power_sum_table
 from pentaperm import oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
 from pentaperm.field import FieldCtx, make_field, omega, unit_circle
@@ -26,15 +27,12 @@ from pentaperm.oracle import (
     brute_is_permutation,
     critical_point_residual,
     deg1_bijects_mu,
-    deg1_bijects_mu_by_enumeration,
     deg1_mu_to_p1,
-    deg1_mu_to_p1_by_enumeration,
     fiber_indices,
     g_eval,
     g_map,
     g_permutes_unit_circle,
     monomials_permute,
-    power_sum_table,
     ramification_index,
     ramification_profile,
     ramification_report,
@@ -43,6 +41,18 @@ from pentaperm.theory import theorem_verdict
 
 # the default sweep block, and one small enough to split every field but GF(4)
 BLOCKS = [oracle._BLOCK, 5]
+
+
+@contextlib.contextmanager
+def sweep_block(block):
+    """Sweep in blocks of the given size, with the verdict memo cleared on
+    entry and exit, so that no verdict of another block size answers."""
+    oracle._sweep_permutes.cache_clear()
+    try:
+        with mock.patch.object(oracle, "_BLOCK", block):
+            yield
+    finally:
+        oracle._sweep_permutes.cache_clear()
 
 
 def test_squaring_is_a_permutation():
@@ -70,9 +80,9 @@ def test_power_sum_table_equals_eval_f(m):
 
 
 @pytest.mark.parametrize("m", range(1, 5))
-def test_power_sum_table_equals_eval_f_in_blocks_of_5(m, monkeypatch):
-    monkeypatch.setattr(oracle, "_BLOCK", 5)
-    test_power_sum_table_equals_eval_f(m)
+def test_power_sum_table_equals_eval_f_in_blocks_of_5(m):
+    with sweep_block(5):
+        test_power_sum_table_equals_eval_f(m)
 
 
 @st.composite
@@ -104,8 +114,47 @@ def permutes_by_enumeration(n, exps):
 @given(case=field_and_exponents())
 def test_monomials_permute_equals_enumeration(block, case):
     n, exps = case
-    with mock.patch.object(oracle, "_BLOCK", block):
+    with sweep_block(block):
         assert monomials_permute(n, exps) == permutes_by_enumeration(n, exps)
+        assert oracle._sweep_permutes.cache_info().misses == 1  # swept, not recalled
+
+
+@settings(deadline=None, max_examples=50)
+@given(n=st.integers(1, 8), data=st.data())
+def test_lists_with_one_memo_key_share_one_verdict(n, data):
+    # a list of distinct residues, permuted, shifted by multiples of 2^n - 1
+    # or padded with a cancelling pair, keeps its key, its verdict and its truth
+    order = (1 << n) - 1
+    exps = data.draw(st.lists(st.integers(1, 4 * order), min_size=1, max_size=6,
+                              unique_by=lambda e: e % order))
+    pair = data.draw(st.integers(1, 4 * order))
+    variants = [
+        exps,
+        data.draw(st.permutations(exps)),
+        [e + order * data.draw(st.integers(0, 3)) for e in exps],
+        exps + [pair, pair + order],
+    ]
+    assert len({oracle._reduced_exponents(order, v) for v in variants}) == 1
+    oracle._sweep_permutes.cache_clear()
+    verdicts = [monomials_permute(n, v) for v in variants]
+    assert oracle._sweep_permutes.cache_info().misses == 1
+    assert verdicts == [permutes_by_enumeration(n, v) for v in variants]
+
+
+def test_verdict_memo_is_bounded():
+    assert oracle._sweep_permutes.cache_info().maxsize == oracle._MEMO_SIZE is not None
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda: monomials_permute(4, [2]),
+    lambda: monomials_permute(4, [3]),
+    lambda: monomials_permute(18, [2]),
+    lambda: monomials_permute(18, [3]),
+    lambda: brute_is_permutation(FamilySpec("A", 3, 1), 2),
+], ids=["one-block", "one-block-false", "multi-block", "multi-block-false", "brute"])
+def test_verdicts_are_plain_bool(verdict):
+    # a numpy bool breaks json.dumps of the answers downstream
+    assert type(verdict()) is bool
 
 
 def test_sweep_memory_is_the_antilog_table_plus_one_block():
@@ -496,6 +545,35 @@ def test_residual_vanishes_wherever_ramified():
 
 
 # -- degree-one map classifications ---------------------------------------------------
+
+def deg1_bijects_mu_by_enumeration(rho, ctx):
+    """Ground truth for deg1_bijects_mu: walk the circle and compare images."""
+    oracle._check_owner(ctx, rho.a)
+    mu = ctx._subgroup((1 << ctx.subfield_m) + 1).tolist()
+    image = set()
+    for bits in mu:
+        out = rho.eval(ctx.elem(bits))
+        if out is INFINITY:
+            return False
+        image.add(out.bits)
+    return image == set(mu)
+
+
+def deg1_mu_to_p1_by_enumeration(rho, ctx):
+    """Ground truth for deg1_mu_to_p1: the image must be all of P1(F_q)."""
+    oracle._check_owner(ctx, rho.a)
+    mu = ctx._subgroup((1 << ctx.subfield_m) + 1).tolist()
+    image = set()
+    saw_infinity = False
+    for bits in mu:
+        out = rho.eval(ctx.elem(bits))
+        if out is INFINITY:
+            saw_infinity = True
+        else:
+            image.add(out.bits)
+    base_field = {0, *ctx._subgroup((1 << ctx.subfield_m) - 1).tolist()}
+    return saw_infinity and image == base_field
+
 
 def _some_non_circle_element(ctx):
     circle = {e.bits for e in unit_circle(ctx)}
