@@ -138,14 +138,11 @@ class GeneralPentanomial:
 
     def h_poly(self) -> BinPoly:
         """H(x) = 1 + x^r1 + x^r2 + x^r3 + x^r4."""
-        r1, r2, r3, r4 = self.rs
-        return BinPoly(1 | 1 << r1 | 1 << r2 | 1 << r3 | 1 << r4)
+        return BinPoly.from_exponents((0,) + self.rs)
 
     def n_poly(self) -> BinPoly:
-        """N(x) = x^t * H(1/x) = x^t + x^(t-r1) + ... + x^(t-r4)."""
-        t = self.t
-        r1, r2, r3, r4 = self.rs
-        return BinPoly(1 << t | 1 << (t - r1) | 1 << (t - r2) | 1 << (t - r3) | 1 << (t - r4))
+        """N(x) = x^t * H(1/x)."""
+        return poly_reverse(self.h_poly(), self.t)
 
     def exponents(self, m: int) -> tuple[int, ...]:
         """Field exponents at q = 2^m: t and r_k(q-1)+t."""

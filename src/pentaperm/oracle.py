@@ -117,12 +117,9 @@ def _reduced_exponents(order: int, exponents) -> tuple[int, ...]:
     On nonzero x, x^e depends only on e mod the order, and equal terms
     cancel in characteristic 2.
     """
-    residues = [e % order for e in exponents]
-    if len(set(residues)) == len(residues):
-        return tuple(sorted(residues))
     odd: set[int] = set()
-    for e in residues:
-        odd ^= {e}
+    for e in exponents:
+        odd ^= {e % order}
     return tuple(sorted(odd))
 
 
