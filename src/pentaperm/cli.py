@@ -6,7 +6,8 @@ Each command computes and returns a Report: its exit code, its result
 records and its text.  ``main`` renders the report once, to ``--out`` or
 stdout: json is one sorted-key object per record, and csv or md use the
 command's own rendering for that format where it has one, else the text.
-Usage errors are raised before any work starts.
+Usage errors are raised before any work starts.  Every ``main`` call in a
+process parses with one cached parser (build_parser), which keeps no state.
 
 Configuration precedence is flags > environment (PENTAPERM_*) > config file
 (flat ``key = value`` lines) > defaults.  Exit codes: 0 all checks passed,
@@ -16,6 +17,7 @@ Configuration precedence is flags > environment (PENTAPERM_*) > config file
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,22 +63,10 @@ def resolve_config(args) -> RunConfig:
     layers = []
     if args.config:
         layers.append(_read_config_file(args.config))
-    env_layer = {}
-    for key in CONFIG_KEYS:
-        env_val = os.environ.get(ENV_PREFIX + key.upper())
-        if env_val is not None:
-            env_layer[key] = env_val
-    layers.append(env_layer)
-    flag_layer = {}
-    if args.brute_cap is not None:
-        flag_layer["brute_cap"] = args.brute_cap
-    if args.workers is not None:
-        flag_layer["workers"] = args.workers
-    if args.format is not None:
-        flag_layer["format"] = args.format
-    if args.out is not None:
-        flag_layer["out"] = args.out
-    layers.append(flag_layer)
+    layers.append({key: os.environ[ENV_PREFIX + key.upper()] for key in CONFIG_KEYS
+                   if ENV_PREFIX + key.upper() in os.environ})
+    layers.append({key: getattr(args, key) for key in CONFIG_KEYS
+                   if getattr(args, key) is not None})
     for layer in layers:
         for key, value in layer.items():
             if key in ("brute_cap", "workers"):
@@ -425,6 +415,7 @@ def _add_family_args(sub):
     sub.add_argument("--j", type=int, required=True, choices=_IJ_RANGE)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pentaperm",

@@ -18,8 +18,8 @@ elimination on the image bit masks gives a map's rank, its first
 dependent basis bit, and a preimage of any point in its image.
 
 Arrays of elements multiply by shift-and-add over the n bits of one
-operand (FieldCtx.mul_array) and invert by Itoh-Tsujii (inv_array), in
-about log2(n) + popcount(n - 1) multiplies and linear maps x -> x^(2^k).
+operand (FieldCtx.mul_array) and invert by Itoh-Tsujii through the norm to
+the subfield GF(2^d), d the largest proper divisor of n (inv_array).
 
 Every list of powers of one element comes from FieldCtx.powers, which
 doubles a numpy array by multiplying its first half by a constant (the
@@ -32,6 +32,8 @@ fields multiply via carryless word products and the fold map.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .gf2poly import BinPoly, _clmul_word
 from .intarith import factorize, prime_factors
@@ -302,19 +304,28 @@ class FieldCtx:
         return out
 
     def inv_array(self, a):
-        """Elementwise inverse of a numpy integer array (0 -> 0), as int64.
+        """Elementwise inverse (0 -> 0) as int64, in _CHUNK slices: for n = d k,
+        a^-1 = a^(r-1) N^-1 with r = (2^n - 1)/(2^d - 1), the norm N = a^r inverted
+        in GF(2^d)* (prime n: d = 1, N = 1), and a^(r-1) = beta_(k-1)^(2^d), where
+        beta_j = a^((2^(dj) - 1)/(2^d - 1)) walks the bits of k - 1:
+        beta_2j = beta_j^(2^(dj)) beta_j, beta_(j+1) = beta_j^(2^d) a."""
+        import numpy as np
 
-        Itoh-Tsujii: a^-1 = (a^(2^(n-1) - 1))^2.  beta_k = a^(2^k - 1) walks
-        the bits of n - 1: beta_2k = beta_k^(2^k) beta_k, beta_(k+1) = beta_k^2 a.
-        """
-        beta, k = a, 1
-        for bit in bin(self.n - 1)[3:]:
-            beta = self.mul_array(self._squarings(k).apply(beta), beta)
-            k *= 2
-            if bit == "1":
-                beta = self.mul_array(self._squarings(1).apply(beta), a)
-                k += 1
-        return self._squarings(1).apply(beta)
+        d = self.n // min(prime_factors(self.n), default=1)
+        norm_inverse = _subfield_inverse(self._plain or self, d)  # before out: less heap churn
+        out = np.empty(len(a), dtype=np.int64)
+        for lo in range(0, len(a), _CHUNK):
+            x = a[lo:lo + _CHUNK]
+            beta, j = x, 1
+            for bit in bin(self.n // d - 1)[3:]:
+                beta = self.mul_array(self._squarings(d * j).apply(beta), beta)
+                j *= 2
+                if bit == "1":
+                    beta = self.mul_array(self._squarings(d).apply(beta), x)
+                    j += 1
+            beta = self._squarings(d).apply(beta)
+            out[lo:lo + _CHUNK] = self.mul_array(beta, norm_inverse(self.mul_array(x, beta)))
+        return out
 
     # -- GF(2)-linear maps ---------------------------------------------------
 
@@ -473,6 +484,27 @@ class FieldElem:
 
     def __repr__(self):
         return self.hex()
+
+
+@functools.lru_cache(maxsize=1)
+def _subfield_inverse(ctx: FieldCtx, d: int):
+    """x -> x^-1 on arrays of elements of GF(2^d)* inside ctx, by log lookup
+    (one per process).  Its tables are the cyclic table [h^0, ..., h^(s-1)]
+    and the keys value << d | log, sorted (< 2^60, as n <= 40)."""
+    import numpy as np
+
+    table = ctx._subgroup((1 << d) - 1)
+    keys = table << d
+    keys |= np.arange(len(table))
+    keys.sort()
+
+    def inverse(x):
+        # every nonzero x must be found; 0 (the norm of a = 0) gets 1
+        key = keys[np.minimum(np.searchsorted(keys, x << d), len(keys) - 1)]
+        if not np.array_equal(key >> d == x, x != 0):
+            raise AssertionError("norm missing from the subfield table")
+        return table[-(key & len(table)) % len(table)]
+    return inverse
 
 
 _CTX_CACHE: dict[tuple, FieldCtx] = {}

@@ -299,6 +299,14 @@ def _sparse_values(table, ks, exps):
     return acc
 
 
+@functools.lru_cache(maxsize=1)
+def _unit_circle_table(ctx: FieldCtx):
+    """mu_(q+1) of ctx in cyclic order, read-only; one circle per process."""
+    ztab = ctx._subgroup((1 << ctx.subfield_m) + 1)
+    ztab.flags.writeable = False
+    return ztab
+
+
 def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     """Whether the reduced g maps the unit circle bijectively onto itself.
 
@@ -313,10 +321,9 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     if m > cap:
         raise ValueError(f"m = {m} exceeds the unit-circle cap {cap}")
     ctx = make_field(2 * m, m)
-    q = 1 << m
     gmap = g_map(spec)
-    ztab = ctx._subgroup(q + 1)
-    ks = np.arange(q + 1, dtype=np.int64)
+    ztab = _unit_circle_table(ctx)
+    ks = np.arange(len(ztab), dtype=np.int64)
     hvals = _sparse_values(ztab, ks, gmap.den.exponents())
     values = ctx.mul_array(_sparse_values(ztab, ks, gmap.num.exponents()),
                            ctx.inv_array(hvals))

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from pentaperm.cli import main
+from pentaperm import cli
+from pentaperm.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +312,18 @@ PINNED_OUTPUT = {
         "csv": "3ed5c38ead67b1e02544cc672fb5da1024e9db7c8863a3c98c8db9b302923ef3",
         "md": "3ed5c38ead67b1e02544cc672fb5da1024e9db7c8863a3c98c8db9b302923ef3",
     }),
+    "gcheck --class B --i 5 --j 6 --m 8": (0, {
+        "text": "346790529d782901fcd641debb6f3cca24fabfb32a3a5f5fc9528cc16b4dd510",
+        "json": "caca15c20484a9523ed9bbfaf7a7c44849c1ec64656b5eaf227c4ae40bc38797",
+        "csv": "346790529d782901fcd641debb6f3cca24fabfb32a3a5f5fc9528cc16b4dd510",
+        "md": "346790529d782901fcd641debb6f3cca24fabfb32a3a5f5fc9528cc16b4dd510",
+    }),
+    "gcheck --class C --i 2 --j 3 --m 5": (0, {
+        "text": "c980bfd00af165b20366529f585da90560dd266af1dff845a695688c677853b7",
+        "json": "789c1da87f8cc3d8f7b96de97d954a26a12a9bc84eecdf1c15cf0068b56bd274",
+        "csv": "c980bfd00af165b20366529f585da90560dd266af1dff845a695688c677853b7",
+        "md": "c980bfd00af165b20366529f585da90560dd266af1dff845a695688c677853b7",
+    }),
     "equiv --class B --i 5 --j 6 --m 4": (0, {
         "text": "70cd9b2f0d531fe9700ddb0045059ff2dfec3b90105b0e905884a4b2cfa8a638",
         "json": "0bfd5e6239670206161bedd13cb13ec2a09d5ba33bc5abbf0ea24a2fd612e615",
@@ -371,6 +387,36 @@ def test_output_bytes_pinned(invocation, fmt, tmp_path, capsys):
     target = tmp_path / "out.txt"
     assert run_cli(capsys, "--out", str(target), *argv) == (code, "")
     assert target.read_bytes() == out.encode()
+
+
+def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys):
+    # one process runs a json call, a usage error, a default-format call and
+    # an --out call on one parser; each must match the same call run alone
+    assert build_parser() is build_parser()
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    family = ["--class", "B", "--i", "5", "--j", "6"]
+    calls = [
+        ["--format", "json", "gcheck", *family, "--m", "3"],
+        ["check", "--class", "Z", "--i", "1", "--j", "1", "--m", "2"],
+        ["check", *family, "--m", "4"],
+        ["--out", "{out}", "equiv", *family, "--m", "4"],
+    ]
+    for k, argv in enumerate(calls):
+        outs = [tmp_path / f"fresh-{k}.txt", tmp_path / f"shared-{k}.txt"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pentaperm.cli", *(a.format(out=outs[0]) for a in argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        try:
+            code = main([a.format(out=outs[1]) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        shared = capsys.readouterr()
+        assert (code, shared.out, shared.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        written = [path.read_bytes() if path.exists() else None for path in outs]
+        assert written[0] == written[1]
+    assert written[0]  # the --out call wrote its report
 
 
 @pytest.mark.parametrize("m_range", ["3..1", "0..2", "1..13 --brute", "3..1 --brute"])

@@ -387,14 +387,53 @@ def test_inv_array_is_field_inversion(n, data):
 
 @pytest.mark.parametrize("n", [3, 16, 17, 40])
 def test_array_multiply_and_inverse_in_slices_of_5(n, rng, monkeypatch):
-    # 23 entries make four full slices and a partial one
-    monkeypatch.setattr(field, "_CHUNK", 5)
+    # 23 entries make four full slices and a partial one; the subfield table
+    # is built first at the usual slice size (GF(2^20)* in slices of 5 is slow)
     ctx = make_field(n)
+    ctx.inv_array(np.ones(1, dtype=np.int64))
+    monkeypatch.setattr(field, "_CHUNK", 5)
     xs = [0, 1, ctx.order] + [rng.randrange(1, 1 << n) for _ in range(20)]
     ys = [rng.randrange(1 << n) for _ in xs]
     a, b = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
     assert ctx.mul_array(a, b).tolist() == [ctx.mul(x, y) for x, y in zip(xs, ys)]
     assert ctx.inv_array(a).tolist() == [0] + [ctx.inv(x) for x in xs[1:]]
+
+
+@pytest.mark.parametrize("n", range(1, N_CAP + 1))
+def test_inv_array_equals_scalar_inverse_at_every_degree(n, rng):
+    # n = 2m inverts through the norm to GF(2^m), n = 9, 15, 21 walk k = 3
+    # through their subfield, and prime n is the plain chain (d = 1)
+    ctx = make_field(n)
+    xs = list(range(1 << n)) if n <= 12 else (
+        [0, 1, ctx.order] + [rng.randrange(1, 1 << n) for _ in range(300)])
+    got = ctx.inv_array(np.array(xs, dtype=np.int64)).tolist()
+    assert got == [0] + [ctx.inv(x) for x in xs[1:]]
+
+
+def test_inv_array_refuses_a_norm_missing_from_the_subfield_table(monkeypatch):
+    # GF(2^6)* inside GF(2^12) loses one element: without the norm check, its
+    # lookup would return the next entry's log, a wrong inverse
+    ctx = make_field(12)
+    subgroup = FieldCtx._subgroup
+    monkeypatch.setattr(FieldCtx, "_subgroup", lambda self, size: np.delete(
+        subgroup(self, size), 5) if size == 63 else subgroup(self, size))
+    field._subfield_inverse.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="norm missing from the subfield table"):
+            ctx.inv_array(np.arange(1 << 12))
+    finally:
+        field._subfield_inverse.cache_clear()
+
+
+def test_subfield_table_refuses_a_non_generator(monkeypatch):
+    # (2^18 - 1)/(2^9 - 1) = 513, and (g^7)^513 has order 511/7 = 73: its
+    # walk of 511 steps closes but revisits 1
+    ctx = FieldCtx(18, canonical_modulus(18), None)
+    not_generator = ctx.pow(make_field(18).generator(), 7)
+    field._subfield_inverse.cache_clear()
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        ctx.inv_array(np.arange(1, 8))
 
 
 # -- the GF(2)-linear-map kernel -----------------------------------------------

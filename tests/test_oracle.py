@@ -90,9 +90,12 @@ def field_and_exponents(draw):
     """A degree n <= 8 and positive exponents, with multiples of 2^n - 1 and repeats."""
     n = draw(st.integers(1, 8))
     order = (1 << n) - 1
+    # up to six distinct residues first, as in the search's five-term shapes
+    # (a size drawn apart, since short lists dominate otherwise); then repeats
+    size = min(draw(st.integers(0, 6)), order)
     exps = draw(st.lists(st.one_of(st.integers(1, 4 * order),
                                    st.integers(1, 4).map(lambda k: k * order)),
-                         max_size=6))
+                         min_size=size, max_size=size, unique_by=lambda e: e % order))
     if exps:
         exps += draw(st.lists(st.sampled_from(exps), max_size=3))
     return n, draw(st.permutations(exps))
@@ -228,6 +231,20 @@ def test_multi_block_sweep_refuses_a_non_generator(monkeypatch):
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
     with pytest.raises(AssertionError, match="generator order mismatch"):
         list(oracle._power_sum_blocks(ctx, [1, 5]))
+
+
+def test_circle_table_is_shared_read_only_and_checked(monkeypatch):
+    ctx = make_field(18, 9)
+    ztab = oracle._unit_circle_table(ctx)
+    assert oracle._unit_circle_table(ctx) is ztab
+    assert not ztab.flags.writeable
+    # q + 1 = 513 is divisible by 3, so (g^3)^(q-1) has order 171: a rebuilt
+    # circle must fail the generator-order check, not be served from the cache
+    not_generator = ctx.pow(ctx.generator(), 3)
+    oracle._unit_circle_table.cache_clear()
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        oracle.g_permutes_unit_circle(FamilySpec("B", 5, 6), 9)
 
 
 def test_brute_row2_at_m2():
