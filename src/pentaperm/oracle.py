@@ -13,9 +13,9 @@ Exponents are first reduced mod 2^n - 1, and residues that occur an even
 number of times are dropped, since equal terms cancel in characteristic
 2.  A field with n <= 16 is one block: its columns (g^k)^e are cached as
 uint16 arrays, so repeated small sweeps cost a few xors.  A larger field
-reads no antilog table: each column is geometric in k, so each block is
-the previous one times a constant, and a sweep holds the 2^n-entry hit
-bitmap and one block per exponent.
+reads no antilog table: columns sharing a step constant g^(B e) advance as
+one sum, B logs per block, and for a pentanomial B is a multiple of its
+period, so a sweep holds the hit bitmap, a block of points and one of sums.
 
 monomials_permute remembers its verdicts in a bounded LRU memo of
 _MEMO_SIZE entries, keyed by n and the reduced exponent tuple.  The key
@@ -39,6 +39,7 @@ reported as such.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .families import FamilySpec, build_H, build_N, f_exponents
@@ -141,9 +142,10 @@ def _power_sum_blocks(ctx: FieldCtx, exps):
     """Yield (xs, values) per block of discrete logs k: the points x = g^k
     and the xor of x^e over the reduced exponents (_reduced_exponents) at each.
 
-    A one-block field xors cached columns.  A larger field advances each
-    column (g^k)^e, e = 1 giving the points, by one multiply by g^(_BLOCK e)
-    per block, and keeps nothing field-sized.
+    A one-block field xors cached columns.  A larger field xors the columns
+    (g^k)^e per step constant g^(B e) and advances the points and each sum by
+    one multiply per block of B logs; B is the largest multiple of P = order /
+    gcd(order, e_i - e_0) up to _BLOCK (else _BLOCK), so g^(B e) is one constant.
     """
     import numpy as np
 
@@ -154,17 +156,23 @@ def _power_sum_blocks(ctx: FieldCtx, exps):
             values ^= _column(ctx.n, e)
         yield _column(ctx.n, 1), values
         return
-    g = ctx.generator()
-    cols = [ctx.powers(ctx.pow(g, e), _BLOCK) for e in [1, *exps]]
-    steps = [ctx._times(ctx.pow(g, _BLOCK * e)) for e in [1, *exps]]
+    g, groups = ctx.generator(), {}
+    period = order // math.gcd(order, *(e - exps[0] for e in exps))
+    block = _BLOCK // period * period or _BLOCK
+    for e in exps:  # columns with one step constant g^(block e) advance as one
+        key = block * e % order
+        groups[key] = groups.get(key, 0) ^ ctx.powers(ctx.pow(g, e), block)
+    groups = groups or {0: np.zeros(block, dtype=np.int64)}  # the empty sum
+    cols = [ctx.powers(g, block), *groups.values()]
+    steps = [ctx._times(ctx.pow(g, key)) for key in [block, *groups]]
     ones = 0
-    for lo in range(0, order, _BLOCK):
+    for lo in range(0, order, block):
         if lo:
             cols = [times.apply(col) for times, col in zip(steps, cols)]
         xs = cols[0][:order - lo]
-        values = np.zeros(len(xs), dtype=np.int64)
-        for col in cols[1:]:
-            values ^= col[:len(xs)]
+        values = cols[1][:len(xs)]  # a view of a column: never xored in place
+        for col in cols[2:]:
+            values = values ^ col[:len(xs)]
         ones += int(np.count_nonzero(xs == 1))
         yield xs, values
     # g^k = 1 only at k = 0 and again at k = order: g has order 2^n - 1
@@ -288,14 +296,16 @@ def g_eval(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> ProjPoint:
 
 def _sparse_values(table, ks, exps):
     """The polynomial with exponents exps at each h^k, where table = [h^0, ...,
-    h^(s-1)] is cyclic: (h^k)^e = table[k e mod s].  Gathers hold ~_CHUNK entries."""
+    h^(s-1)] is cyclic: (h^k)^e = table[k e mod s].  Gathers hold <= _CHUNK entries."""
     import numpy as np
 
     acc = np.zeros(len(ks), dtype=np.int64)
     step = max(1, _CHUNK // max(1, len(ks)))
     for lo in range(0, len(exps), step):
         es = np.array(exps[lo:lo + step], dtype=np.int64) % len(table)
-        acc ^= np.bitwise_xor.reduce(table[np.multiply.outer(es, ks) % len(table)], axis=0)
+        for lo_k in range(0, len(ks), _CHUNK // 4):  # slices whose temporaries stay in cache
+            idx = np.multiply.outer(es, ks[lo_k:lo_k + _CHUNK // 4]) % len(table)
+            acc[lo_k:lo_k + _CHUNK // 4] ^= np.bitwise_xor.reduce(table[idx], axis=0)
     return acc
 
 

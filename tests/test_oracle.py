@@ -3,6 +3,7 @@ ramification, and the degree-one-map classification procedures."""
 
 import contextlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_specs, power_sum_table
-from pentaperm import oracle
+from pentaperm import field, oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
 from pentaperm.field import FieldCtx, make_field, omega, unit_circle
 from pentaperm.gf2poly import BinPoly
@@ -231,6 +232,106 @@ def test_multi_block_sweep_refuses_a_non_generator(monkeypatch):
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
     with pytest.raises(AssertionError, match="generator order mismatch"):
         list(oracle._power_sum_blocks(ctx, [1, 5]))
+
+
+def test_multi_block_grouped_sweep_refuses_a_non_generator(monkeypatch):
+    # a pentanomial's exponents share one step constant: the points column
+    # keeps its own, and with it the generator-order check
+    ctx = make_field(18, 9)
+    not_generator = ctx.pow(ctx.generator(), 3)
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    exps = oracle._reduced_exponents(ctx.order, f_exponents(FamilySpec("B", 5, 6), 9))
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        list(oracle._power_sum_blocks(ctx, exps))
+
+
+@st.composite
+def wide_field_exponents(draw, degrees):
+    """A degree n = 2m and positive exponents: t + r_i (2^m - 1), which share
+    a period dividing 2^m + 1, a family member's, or free ones."""
+    n = draw(st.sampled_from(degrees))
+    m, order = n // 2, (1 << n) - 1
+    kind = draw(st.sampled_from(["shared period", "family", "free"]))
+    if kind == "shared period":
+        t = draw(st.integers(1, order))
+        rs = draw(st.lists(st.integers(0, 1 << (m + 1)), min_size=1, max_size=6))
+        return n, [t + r * ((1 << m) - 1) for r in rs]
+    if kind == "family":
+        spec = FamilySpec(draw(st.sampled_from("ABC")), draw(st.integers(1, 12)),
+                          draw(st.integers(1, 12)))
+        return n, list(f_exponents(spec, m))
+    return n, draw(st.lists(st.integers(1, 4 * order), max_size=6))
+
+
+def assert_power_sum_at_seeded_points(n, exps, count=200):
+    ctx = make_field(n)
+    table = oracle._power_sum_array(ctx, exps)
+    rng = random.Random(0x5EED)
+    for x in [0, 1] + [rng.randrange(1 << n) for _ in range(count)]:
+        want = 0
+        for e in exps:
+            want ^= ctx.pow(x, e)
+        assert int(table[x]) == want
+
+
+# a block of 5 takes some 50,000 blocks at n = 18, seconds per sweep, so that
+# size draws fewer examples and only n = 18
+@pytest.mark.parametrize("block, degrees, examples", [
+    (oracle._BLOCK, [18, 20], 30), (5, [18], 2)], ids=[str(b) for b in BLOCKS])
+def test_multi_block_power_sum_equals_pointwise_sums(block, degrees, examples):
+    @settings(deadline=None, max_examples=examples)
+    @given(case=wide_field_exponents(degrees))
+    def check(case):
+        assert_power_sum_at_seeded_points(*case)
+
+    with sweep_block(block):
+        check()
+
+
+def count_applies(monkeypatch):
+    """Count constant multiplies on arrays (LinearMap.apply calls)."""
+    calls = []
+    apply = field.LinearMap.apply
+    monkeypatch.setattr(field.LinearMap, "apply",
+                        lambda self, src: calls.append(len(src)) or apply(self, src))
+    return calls
+
+
+@pytest.mark.parametrize("exps", [
+    [7], [7, 7 + (1 << 18) - 1, 7 + 2 * ((1 << 18) - 1)], [5, 5 + (1 << 18) - 1], []],
+    ids=["one exponent", "congruent", "cancelling", "empty"])
+def test_multi_block_sweep_of_period_one(exps, monkeypatch):
+    # P = 1: each block of _BLOCK logs steps the points and one sum (zero
+    # when every term cancels)
+    blocks = -(-((1 << 18) - 1) // oracle._BLOCK)
+    calls = count_applies(monkeypatch)
+    assert_power_sum_at_seeded_points(18, exps)
+    assert calls.count(oracle._BLOCK) == 2 * (blocks - 1)
+
+
+def test_pentanomial_sweep_steps_the_points_and_one_sum(monkeypatch):
+    # B(5, 6) at m = 9 has period q + 1 = 513: blocks of 513 * 127 logs, and
+    # two constant multiplies per block; [1, 5] (period 2^18 - 1) takes three
+    order = (1 << 18) - 1
+    calls = count_applies(monkeypatch)
+    for exps, block, per_block in [(f_exponents(FamilySpec("B", 5, 6), 9), 513 * 127, 2),
+                                   ([1, 5], oracle._BLOCK, 3)]:
+        calls.clear()
+        sizes = [len(xs) for xs, _ in oracle._power_sum_blocks(
+            make_field(18), oracle._reduced_exponents(order, exps))]
+        assert sizes == [block] * (order // block) + [order % block] * (order % block > 0)
+        assert calls.count(block) == per_block * (len(sizes) - 1)
+
+
+def test_multi_block_sweep_with_a_block_the_period_divides(monkeypatch):
+    # a patched _BLOCK of 3 periods: every block is exactly _BLOCK logs
+    exps = f_exponents(FamilySpec("B", 5, 6), 9)
+    with sweep_block(3 * 513):
+        sizes = [len(xs) for xs, _ in oracle._power_sum_blocks(
+            make_field(18), oracle._reduced_exponents((1 << 18) - 1, exps))]
+        assert set(sizes[:-1]) == {3 * 513} and sizes[-1] <= 3 * 513
+        assert_power_sum_at_seeded_points(18, exps)
+        assert monomials_permute(18, exps) == theorem_verdict(FamilySpec("B", 5, 6), 9).predicted
 
 
 def test_circle_table_is_shared_read_only_and_checked(monkeypatch):
