@@ -323,7 +323,7 @@ def test_pentanomial_sweep_steps_the_points_and_one_sum(monkeypatch):
         assert calls.count(block) == per_block * (len(sizes) - 1)
 
 
-def test_multi_block_sweep_with_a_block_the_period_divides(monkeypatch):
+def test_multi_block_sweep_with_a_block_the_period_divides():
     # a patched _BLOCK of 3 periods: every block is exactly _BLOCK logs
     exps = f_exponents(FamilySpec("B", 5, 6), 9)
     with sweep_block(3 * 513):
