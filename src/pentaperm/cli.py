@@ -362,7 +362,7 @@ def cmd_equiv(args, cfg: RunConfig) -> Report:
                       f"no {kind} certificate found over the {args.pool} pool "
                       f"(pool exhausted; not a nonexistence proof)\n")
     gcd_ok = _cert_gcd_predicts(spec, args.m, cert)
-    brute = oracle.brute_is_permutation(spec, args.m, cap=cfg.brute_cap)
+    brute = oracle.table_permutes(equivalence.f_table(spec, args.m))  # the search's table
     agrees = gcd_ok == brute
     result = {"kind": kind, "certificate": json.loads(cert.to_json()), "verified": True,
               "exponent_gcd_predicts": gcd_ok, "brute": brute}

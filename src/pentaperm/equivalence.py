@@ -13,12 +13,12 @@ or two pairs of linear maps (field.LinearMap): (L1, L2) for the monomial,
 and (x -> d1 x, u), (x -> d2 x, v) for the bivariate form with
 L2 = (u, v).  One replay checks either, in slices of x in bit order,
 against bit-order tables of f and of x^e from oracle's power sum; each
-search or verify call builds the two tables once (two 64 MB uint32 arrays
-at n = 24).  Replay never inverts L2.  Bivariate replay reports the first
-failing x in bit order: "leaves-subfield", then "not-injective", then
-"mismatch".  The two structural conditions are GF(2)-linear, so their
-first failure is a power of two, 2^b, read off the basis images;
-mismatches are sought only below 2^b, a prefix in bit order.
+search or verify call builds them once (two 64 MB uint32 arrays at n = 24;
+the last f is kept, f_table).  Replay never inverts L2.  Bivariate replay
+reports the first failing x in bit order: "leaves-subfield", then
+"not-injective", then "mismatch".  The two structural conditions are
+GF(2)-linear, so their first failure is a power of two, 2^b, read off the
+basis images; mismatches are sought only below 2^b, a prefix in bit order.
 
 Certificates are searched over a coefficient pool, by default the four
 elements of F_4, since every known explicit certificate uses them; pool
@@ -31,6 +31,7 @@ m = 3 takes well under a second.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ __all__ = [
     "MonomialCert",
     "BivariateCert",
     "f4_pool",
+    "f_table",
     "monomial_exponent",
     "verify_monomial_cert",
     "search_monomial_cert",
@@ -133,9 +135,18 @@ def _replay_mismatch(ftab, ptab, terms, limit: int) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=1)
+def f_table(spec: FamilySpec, m: int):
+    """f over GF(2^(2m)) in bit order, read-only; the last one is kept, so a
+    search, its replays and equiv's brute verdict (oracle.table_permutes) share it."""
+    ftab = _power_sum_array(make_field(2 * m, m), f_exponents(spec, m))
+    ftab.flags.writeable = False
+    return ftab
+
+
 def _tables(ctx, spec: FamilySpec, m: int, e: int):
     """(ftab, ptab): f and x^e over the whole field in bit order."""
-    return _power_sum_array(ctx, f_exponents(spec, m)), _power_sum_array(ctx, [e])
+    return f_table(spec, m), _power_sum_array(ctx, [e])
 
 
 def _cert_field(cert, m: int) -> FieldCtx:

@@ -9,8 +9,8 @@ reference and refuses cross-context arithmetic.  make_field(2m, m) is a
 second view of make_field(2m) that shares all of its tables.
 
 Every GF(2)-linear map of the field is one kernel, LinearMap: the images
-of the n basis bits, folded into one 256-entry table per input byte and
-XORed together, applied to a scalar or to a numpy array.  Multiplication
+of the n basis bits, folded into lookup tables (one per byte for a scalar,
+up to _APPLY_BITS bits for a numpy array) and XORed together.  Multiplication
 by a constant (FieldCtx._times), the fold that reduces a carryless
 product, the Frobenius x -> x^q (FieldCtx.frobenius) and the linearized
 binomials a x + b x^q (FieldCtx.linearized) are all instances.  Gaussian
@@ -61,6 +61,7 @@ LOG_TABLE_MAX_N = 16
 # or of a doubling step in FieldCtx.powers, a sweep block in oracle.  oracle
 # caches the columns of one-block fields as uint16, so this is at most 1 << 16.
 _CHUNK = 1 << 16
+_APPLY_BITS = 12  # input bits per array table of LinearMap.apply: 32 KB, about one L1d
 
 # Least irreducible of each degree, as a coefficient bitmask (leading bit set).
 # Frozen output of the sieve below; regenerated and checked by the test suite.
@@ -113,8 +114,9 @@ class LinearMap:
 
     x maps to the xor of images[k] over the set bits k of x.  The images are
     folded into one table per input byte, tables[t][b] being the image of
-    b << 8t, so a scalar costs one lookup per byte and a numpy array one
-    gather per byte.  Inputs must have fewer than len(images) bits.
+    b << 8t, so a scalar costs one lookup per byte; a numpy array gathers from
+    the fewest equal-width tables of at most _APPLY_BITS input bits, built on
+    first use (two at n = 24).  Inputs must have fewer than len(images) bits.
     """
 
     __slots__ = ("images", "tables", "_arrays", "_reduced")
@@ -136,15 +138,27 @@ class LinearMap:
             x >>= 8
         return out
 
-    def apply(self, src):
-        """The map on a numpy integer array, as a new int64 array."""
-        if self._arrays is None:
-            import numpy as np
+    def apply(self, src, out=None, scratch=None):
+        """The map on a numpy integer array as int64, written into out (len(src) entries,
+        apart from src) if given; scratch (int64, >= len(src) entries) takes the gathers."""
+        import numpy as np
 
-            self._arrays = [np.array(tab, dtype=np.int64) for tab in self.tables]
-        out = self._arrays[0][src & 0xFF]
-        for t in range(1, len(self._arrays)):
-            out ^= self._arrays[t][(src >> 8 * t) & 0xFF]
+        if self._arrays is None:
+            n = len(self.images)
+            width = -(-n // -(-n // _APPLY_BITS))
+            self._arrays = [(lo, np.zeros(1 << min(width, n - lo), dtype=np.int64))
+                            for lo in range(0, n, width)]
+            for lo, tab in self._arrays:  # doubling: tab[b] is the image of b << lo
+                for k, img in enumerate(self.images[lo:lo + width]):
+                    np.bitwise_xor(tab[:1 << k], img, out=tab[1 << k:2 << k])
+        out = np.empty(len(src), dtype=np.int64) if out is None else out
+        idx = np.empty(len(src), dtype=np.int64) if scratch is None else scratch[:len(src)]
+        # indices are masked to each table: mode="clip" never clips, but lets take write in place
+        (_, first), *rest = self._arrays
+        np.take(first, np.bitwise_and(src, len(first) - 1, out=out), out=out, mode="clip")
+        for lo, tab in rest:
+            np.bitwise_and(np.right_shift(src, lo, out=idx), len(tab) - 1, out=idx)
+            out ^= np.take(tab, idx, out=idx, mode="clip")
         return out
 
     def _echelon(self):
@@ -270,20 +284,21 @@ class FieldCtx:
         """[base^0, ..., base^(count-1)] as a numpy int64 array.
 
         Built by doubling: out[B:2B] = out[:B] * base^B, one constant
-        multiply (_times) per step.  Each step runs in slices of _CHUNK
-        entries, so its temporaries stay small next to the output array.
+        multiply (_times) per step, written into out in slices of _CHUNK
+        entries with one scratch array.
         """
         import numpy as np
 
         out = np.empty(count, dtype=np.int64)
         out[:1] = 1
+        scratch = np.empty(min(count, _CHUNK), dtype=np.int64)
         step, done = base, 1
         while done < count:
             size = min(done, count - done)
             times = self._times(step)
             for lo in range(0, size, _CHUNK):
                 hi = min(lo + _CHUNK, size)
-                out[done + lo:done + hi] = times.apply(out[lo:hi])
+                times.apply(out[lo:hi], out=out[done + lo:done + hi], scratch=scratch)
             step = self.mul(step, step)
             done += size
         return out

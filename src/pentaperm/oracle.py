@@ -15,7 +15,8 @@ number of times are dropped, since equal terms cancel in characteristic
 uint16 arrays, so repeated small sweeps cost a few xors.  A larger field
 reads no antilog table: columns sharing a step constant g^(B e) advance as
 one sum, B logs per block, and for a pentanomial B is a multiple of its
-period, so a sweep holds the hit bitmap, a block of points and one of sums.
+period, so a sweep holds the hit bitmap and a few block buffers, allocated
+once and advanced in place.  table_permutes reads a bit-order table instead.
 
 monomials_permute remembers its verdicts in a bounded LRU memo of
 _MEMO_SIZE entries, keyed by n and the reduced exponent tuple.  The key
@@ -55,6 +56,7 @@ __all__ = [
     "MU_CAP",
     "monomials_permute",
     "brute_is_permutation",
+    "table_permutes",
     "g_map",
     "g_eval",
     "g_permutes_unit_circle",
@@ -141,6 +143,8 @@ def _column(n: int, e: int):
 def _power_sum_blocks(ctx: FieldCtx, exps):
     """Yield (xs, values) per block of discrete logs k: the points x = g^k
     and the xor of x^e over the reduced exponents (_reduced_exponents) at each.
+    Callers must not write to either, and a pair is valid only until the next
+    block is requested: a larger field reuses buffers allocated once per sweep.
 
     A one-block field xors cached columns.  A larger field xors the columns
     (g^k)^e per step constant g^(B e) and advances the points and each sum by
@@ -165,14 +169,17 @@ def _power_sum_blocks(ctx: FieldCtx, exps):
     groups = groups or {0: np.zeros(block, dtype=np.int64)}  # the empty sum
     cols = [ctx.powers(g, block), *groups.values()]
     steps = [ctx._times(ctx.pow(g, key)) for key in [block, *groups]]
+    # each column advances into its spare, then swaps with it
+    scratch, acc, *spares = np.empty((2 + len(cols), block), dtype=np.int64)
     ones = 0
     for lo in range(0, order, block):
         if lo:
-            cols = [times.apply(col) for times, col in zip(steps, cols)]
+            for c, times in enumerate(steps):
+                cols[c], spares[c] = times.apply(cols[c], out=spares[c], scratch=scratch), cols[c]
         xs = cols[0][:order - lo]
         values = cols[1][:len(xs)]  # a view of a column: never xored in place
         for col in cols[2:]:
-            values = values ^ col[:len(xs)]
+            values = np.bitwise_xor(values, col[:len(xs)], out=acc[:len(xs)])
         ones += int(np.count_nonzero(xs == 1))
         yield xs, values
     # g^k = 1 only at k = 0 and again at k = order: g has order 2^n - 1
@@ -216,6 +223,17 @@ def _sweep_permutes(n: int, exps: tuple[int, ...]) -> bool:
     for _, values in _power_sum_blocks(ctx, exps):
         bitmap[values.astype(np.intp, copy=False)] = True
     return bool(not bitmap[0] and np.count_nonzero(bitmap) == ctx.order)
+
+
+def table_permutes(table) -> bool:
+    """Whether a bit-order table of a map on GF(2^n) (2^n entries below 2^n)
+    is a bijection: every point marked in a bitmap, _CHUNK entries at a time."""
+    import numpy as np
+
+    bitmap = np.zeros(len(table), dtype=bool)
+    for lo in range(0, len(table), _CHUNK):
+        bitmap[table[lo:lo + _CHUNK]] = True
+    return bool(bitmap.all())
 
 
 def brute_is_permutation(spec: FamilySpec, m: int, cap: int = BRUTE_CAP) -> bool:

@@ -465,6 +465,21 @@ def test_linear_map_is_the_xor_of_basis_images(case):
     assert got.dtype == np.int64 and got.tolist() == want
 
 
+@given(case=linear_maps(max_n=40), extra=st.integers(1, 5))
+def test_array_tables_equal_the_scalar_byte_tables(case, extra):
+    # the array path gathers from tables of up to _APPLY_BITS input bits, the
+    # scalar path from one table per byte; with or without caller buffers
+    images, xs = case
+    lin = LinearMap(images)
+    arr = np.array(xs, dtype=np.int64)
+    want = [lin(x) for x in xs]
+    buf, scratch = np.empty(len(arr), dtype=np.int64), np.empty(len(arr) + extra, dtype=np.int64)
+    assert lin.apply(arr).tolist() == want
+    assert lin.apply(arr, out=buf) is buf and buf.tolist() == want
+    buf[:] = -1
+    assert lin.apply(arr, out=buf, scratch=scratch) is buf and buf.tolist() == want
+
+
 @given(case=linear_maps(max_n=12))
 def test_rank_and_first_dependent_bit_match_enumeration(case):
     images, xs = case

@@ -118,9 +118,12 @@ def permutes_by_enumeration(n, exps):
 @given(case=field_and_exponents())
 def test_monomials_permute_equals_enumeration(block, case):
     n, exps = case
+    want = permutes_by_enumeration(n, exps)
     with sweep_block(block):
-        assert monomials_permute(n, exps) == permutes_by_enumeration(n, exps)
+        assert monomials_permute(n, exps) == want
         assert oracle._sweep_permutes.cache_info().misses == 1  # swept, not recalled
+        # the same verdict read off the bit-order table (equiv's route)
+        assert oracle.table_permutes(oracle._power_sum_array(make_field(n), exps)) == want
 
 
 @settings(deadline=None, max_examples=50)
@@ -210,7 +213,8 @@ def test_sweep_memory_at_n24_is_the_bitmap_plus_a_few_blocks():
 
 def test_multi_block_points_cover_the_field_once():
     ctx = make_field(18)
-    xs = np.concatenate([xs for xs, _ in oracle._power_sum_blocks(ctx, [3])])
+    # a yielded block is valid until the next is requested: keep copies
+    xs = np.concatenate([xs.copy() for xs, _ in oracle._power_sum_blocks(ctx, [3])])
     assert len(xs) == ctx.order
     assert np.array_equal(np.sort(xs), np.arange(1, 1 << 18))
 
@@ -293,7 +297,7 @@ def count_applies(monkeypatch):
     calls = []
     apply = field.LinearMap.apply
     monkeypatch.setattr(field.LinearMap, "apply",
-                        lambda self, src: calls.append(len(src)) or apply(self, src))
+                        lambda self, src, **kw: calls.append(len(src)) or apply(self, src, **kw))
     return calls
 
 
