@@ -150,9 +150,9 @@ def _tables(ctx, spec: FamilySpec, m: int, e: int):
 
 
 def _cert_field(cert, m: int) -> FieldCtx:
-    """make_field(2m, m), refusing a certificate with a coefficient from
-    another context, or an exponent below 1 (replay takes 0^e = 0), before
-    any replay."""
+    """make_field(2m, m), refusing a certificate with a coefficient from a
+    field of another degree, or an exponent below 1 (replay takes 0^e = 0),
+    before any replay."""
     if cert.e < 1:
         raise ValueError("certificate exponent must be positive")
     ctx = make_field(2 * m, m)

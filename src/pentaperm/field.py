@@ -1,20 +1,20 @@
-"""Deterministic binary fields GF(2^n), optionally carrying the subfield GF(2^m).
+"""Deterministic binary fields GF(2^n); at even n = 2m, with the subfield GF(2^m).
 
 Every context uses the canonical modulus for its degree: the irreducible
 polynomial whose coefficient bitstring, read as an integer, is least.  A
 frozen table covers degrees 1..40, with a runtime sieve as fallback, so two
 processes always agree on element representations.  Elements are residue
 classes stored as plain bit masks; the FieldElem wrapper carries a context
-reference and refuses cross-context arithmetic.  make_field(2m, m) is a
-second view of make_field(2m) that shares all of its tables.
+reference and refuses arithmetic with elements of another degree.  There is
+one context per degree: make_field(2m, m) is make_field(2m).
 
 Every GF(2)-linear map of the field is one kernel, LinearMap: the images
-of the n basis bits, folded into lookup tables (one per byte for a scalar,
-up to _APPLY_BITS bits for a numpy array) and XORed together.  Multiplication
-by a constant (FieldCtx._times), the fold that reduces a carryless
-product, the Frobenius x -> x^q (FieldCtx.frobenius) and the linearized
-binomials a x + b x^q (FieldCtx.linearized) are all instances.  Gaussian
-elimination on the image bit masks gives a map's rank, its first
+of the n basis bits, folded into lookup tables of up to _APPLY_BITS input
+bits that scalars and numpy arrays both read, and XORed together.
+Multiplication by a constant (FieldCtx._times), the fold that reduces a
+carryless product, the Frobenius x -> x^q (FieldCtx.frobenius) and the
+linearized binomials a x + b x^q (FieldCtx.linearized) are all instances.
+Gaussian elimination on the image bit masks gives a map's rank, its first
 dependent basis bit, and a preimage of any point in its image.
 
 Arrays of elements multiply by shift-and-add over the n bits of one
@@ -61,7 +61,7 @@ LOG_TABLE_MAX_N = 16
 # or of a doubling step in FieldCtx.powers, a sweep block in oracle.  oracle
 # caches the columns of one-block fields as uint16, so this is at most 1 << 16.
 _CHUNK = 1 << 16
-_APPLY_BITS = 12  # input bits per array table of LinearMap.apply: 32 KB, about one L1d
+_APPLY_BITS = 12  # input bits per LinearMap table: 32 KB, about one L1d
 
 # Least irreducible of each degree, as a coefficient bitmask (leading bit set).
 # Frozen output of the sieve below; regenerated and checked by the test suite.
@@ -113,29 +113,36 @@ class LinearMap:
     """A GF(2)-linear map on bit masks, given by the images of the basis bits.
 
     x maps to the xor of images[k] over the set bits k of x.  The images are
-    folded into one table per input byte, tables[t][b] being the image of
-    b << 8t, so a scalar costs one lookup per byte; a numpy array gathers from
-    the fewest equal-width tables of at most _APPLY_BITS input bits, built on
-    first use (two at n = 24).  Inputs must have fewer than len(images) bits.
+    folded, on first use, into the fewest equal-width int64 tables of at most
+    _APPLY_BITS input bits (two at n = 24), tab[b] being the image of b << lo;
+    a scalar looks up one entry per table and a numpy array gathers from
+    them.  Inputs must have fewer than len(images) bits, and calls need
+    images below 2^63; rank, preimage and first_dependent_bit take any width.
     """
 
-    __slots__ = ("images", "tables", "_arrays", "_reduced")
+    __slots__ = ("images", "_tables", "_reduced")
 
     def __init__(self, images):
         self.images = tuple(images)
-        self.tables = []
-        for lo in range(0, len(self.images), 8):
-            tab = [0]
-            for img in self.images[lo:lo + 8]:
-                tab += [v ^ img for v in tab]
-            self.tables.append(tab)
-        self._arrays = self._reduced = None
+        self._tables = self._reduced = None
+
+    def _gather_tables(self):
+        if self._tables is None:
+            import numpy as np
+
+            n = len(self.images)
+            width = -(-n // -(-n // _APPLY_BITS))
+            self._tables = [(lo, np.zeros(1 << min(width, n - lo), dtype=np.int64))
+                            for lo in range(0, n, width)]
+            for lo, tab in self._tables:  # doubling: tab[b] is the image of b << lo
+                for k, img in enumerate(self.images[lo:lo + width]):
+                    np.bitwise_xor(tab[:1 << k], img, out=tab[1 << k:2 << k])
+        return self._tables
 
     def __call__(self, x: int) -> int:
         out = 0
-        for tab in self.tables:
-            out ^= tab[x & 0xFF]
-            x >>= 8
+        for lo, tab in self._gather_tables():
+            out ^= tab.item(x >> lo & len(tab) - 1)
         return out
 
     def apply(self, src, out=None, scratch=None):
@@ -143,18 +150,10 @@ class LinearMap:
         apart from src) if given; scratch (int64, >= len(src) entries) takes the gathers."""
         import numpy as np
 
-        if self._arrays is None:
-            n = len(self.images)
-            width = -(-n // -(-n // _APPLY_BITS))
-            self._arrays = [(lo, np.zeros(1 << min(width, n - lo), dtype=np.int64))
-                            for lo in range(0, n, width)]
-            for lo, tab in self._arrays:  # doubling: tab[b] is the image of b << lo
-                for k, img in enumerate(self.images[lo:lo + width]):
-                    np.bitwise_xor(tab[:1 << k], img, out=tab[1 << k:2 << k])
         out = np.empty(len(src), dtype=np.int64) if out is None else out
         idx = np.empty(len(src), dtype=np.int64) if scratch is None else scratch[:len(src)]
         # indices are masked to each table: mode="clip" never clips, but lets take write in place
-        (_, first), *rest = self._arrays
+        (_, first), *rest = self._gather_tables()
         np.take(first, np.bitwise_and(src, len(first) - 1, out=out), out=out, mode="clip")
         for lo, tab in rest:
             np.bitwise_and(np.right_shift(src, lo, out=idx), len(tab) - 1, out=idx)
@@ -193,26 +192,19 @@ class LinearMap:
 
 
 class FieldCtx:
-    """Immutable description of GF(2^n); build via :func:`make_field`."""
+    """Immutable description of GF(2^n), with subfield_m = n/2 at even n and
+    None at odd n; build via :func:`make_field`."""
 
     __slots__ = (
-        "n", "modulus", "order", "subfield_m", "_plain",
+        "n", "modulus", "order", "subfield_m",
         "_exp", "_log", "_gen", "_fold", "_exp_np", "_squarings_cache",
     )
 
-    def __init__(self, n: int, modulus: int, subfield_m, plain: "FieldCtx | None" = None):
+    def __init__(self, n: int, modulus: int):
         self.n = n
         self.modulus = modulus
         self.order = (1 << n) - 1
-        self.subfield_m = subfield_m
-        # a subfield context is a second view of the plain context of its
-        # degree: it shares every table, and builds missing ones on it
-        self._plain = plain
-        if plain is not None:
-            self._exp, self._log, self._gen, self._fold, self._exp_np = (
-                plain._exp, plain._log, plain._gen, plain._fold, plain._exp_np)
-            self._squarings_cache = plain._squarings_cache
-            return
+        self.subfield_m = None if n % 2 else n // 2
         self._exp = self._log = self._gen = self._exp_np = None
         self._squarings_cache = {}
         # the high part h of a product stands for h * x^n = h * (x^n mod modulus)
@@ -268,9 +260,7 @@ class FieldCtx:
     def generator(self) -> int:
         """Smallest bit mask generating the multiplicative group."""
         if self._gen is None:
-            if self._plain is not None:
-                self._gen = self._plain.generator()
-            elif self.order == 1:
+            if self.order == 1:
                 self._gen = 1
             else:
                 ps = prime_factors(self.order)
@@ -327,7 +317,7 @@ class FieldCtx:
         import numpy as np
 
         d = self.n // min(prime_factors(self.n), default=1)
-        norm_inverse = _subfield_inverse(self._plain or self, d)  # before out: less heap churn
+        norm_inverse = _subfield_inverse(self, d)  # before out: less heap churn
         out = np.empty(len(a), dtype=np.int64)
         for lo in range(0, len(a), _CHUNK):
             x = a[lo:lo + _CHUNK]
@@ -392,12 +382,7 @@ class FieldCtx:
     # -- internals ----------------------------------------------------------
 
     def _reduce(self, p: int) -> int:
-        # the fold map applied inline: this is the hot path of scalar mul
-        lo, hi = p & self.order, p >> self.n
-        for tab in self._fold.tables:
-            lo ^= tab[hi & 0xFF]
-            hi >>= 8
-        return lo
+        return p & self.order ^ self._fold(p >> self.n)
 
     def _build_tables(self):
         import numpy as np
@@ -410,16 +395,9 @@ class FieldCtx:
         self._log = log.tolist()
 
     def exp_array(self):
-        """Antilog table [g^0, ..., g^(order-1)] as a numpy int64 array.
-
-        A subfield context returns the array of the plain context of its
-        degree, so each degree builds the table once.
-        """
+        """Antilog table [g^0, ..., g^(order-1)] as a numpy int64 array."""
         if self._exp_np is None:
-            owner = self._plain or self
-            if owner._exp_np is None:
-                owner._exp_np = owner._subgroup(owner.order)
-            self._exp_np = owner._exp_np
+            self._exp_np = self._subgroup(self.order)
         return self._exp_np
 
     def _subgroup(self, size: int):
@@ -437,16 +415,14 @@ class FieldCtx:
 
     def __eq__(self, other):
         if isinstance(other, FieldCtx):
-            return (self.n, self.modulus, self.subfield_m) == (
-                other.n, other.modulus, other.subfield_m)
+            return (self.n, self.modulus) == (other.n, other.modulus)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.modulus, self.subfield_m))
+        return hash((self.n, self.modulus))
 
     def __repr__(self):
-        sub = f", subfield_m={self.subfield_m}" if self.subfield_m else ""
-        return f"FieldCtx(n={self.n}, modulus={BinPoly(self.modulus)!r}{sub})"
+        return f"FieldCtx(n={self.n}, modulus={BinPoly(self.modulus)!r})"
 
 
 class FieldElem:
@@ -522,28 +498,23 @@ def _subfield_inverse(ctx: FieldCtx, d: int):
     return inverse
 
 
-_CTX_CACHE: dict[tuple, FieldCtx] = {}
+_CTX_CACHE: dict[int, FieldCtx] = {}
 
 
-def make_field(n: int, subfield_m: int | None = None, *, n_cap: int = N_CAP) -> FieldCtx:
-    """Field context with the canonical modulus of degree n (cached).
+def make_field(n: int, subfield_m: int | None = None) -> FieldCtx:
+    """The context of GF(2^n) with the canonical modulus of degree n (cached).
 
-    When subfield_m is given, n must equal 2*subfield_m and the context
-    gains the Frobenius x -> x^(2^m) plus unit-circle machinery.
+    There is one context per degree.  At even n it carries the subfield
+    GF(2^(n/2)): the Frobenius x -> x^(2^(n/2)) and the unit circle, which
+    odd-degree contexts refuse.  subfield_m, if given, must equal n/2.
     """
-    if not 1 <= n <= n_cap:
-        raise ValueError(f"extension degree {n} outside [1, {n_cap}]")
+    if not 1 <= n <= N_CAP:
+        raise ValueError(f"extension degree {n} outside [1, {N_CAP}]")
     if subfield_m is not None and n != 2 * subfield_m:
         raise ValueError(f"subfield_m={subfield_m} inconsistent with n={n}")
-    return _cached_field(n, subfield_m)
-
-
-def _cached_field(n: int, subfield_m: int | None) -> FieldCtx:
-    ctx = _CTX_CACHE.get((n, subfield_m))
+    ctx = _CTX_CACHE.get(n)
     if ctx is None:
-        plain = None if subfield_m is None else _cached_field(n, None)
-        ctx = _CTX_CACHE[(n, subfield_m)] = FieldCtx(
-            n, canonical_modulus(n), subfield_m, plain)
+        ctx = _CTX_CACHE[n] = FieldCtx(n, canonical_modulus(n))
     return ctx
 
 

@@ -86,18 +86,6 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-_ODD_BIT_MASK_CACHE: dict[int, int] = {}
-
-
-def _odd_bit_mask(nbits: int) -> int:
-    words = (nbits + 63) // 64
-    mask = _ODD_BIT_MASK_CACHE.get(words)
-    if mask is None:
-        mask = int("aaaaaaaaaaaaaaaa" * words, 16)
-        _ODD_BIT_MASK_CACHE[words] = mask
-    return mask
-
-
 class BinPoly:
     """Immutable polynomial over GF(2) with bit-packed coefficients."""
 
@@ -260,7 +248,7 @@ def poly_gcd(a: BinPoly, b: BinPoly) -> BinPoly:
 def poly_derivative(a: BinPoly) -> BinPoly:
     """Formal derivative in characteristic 2: x^(2k) -> 0, x^(2k+1) -> x^(2k)."""
     bits = _coerce(a)
-    return BinPoly((bits & _odd_bit_mask(bits.bit_length())) >> 1)
+    return BinPoly((bits >> 1) & int("5" * (bits.bit_length() // 4 + 1), 16))
 
 
 def poly_reverse(a: BinPoly, k: int) -> BinPoly:

@@ -335,7 +335,7 @@ def _unit_circle_table(ctx: FieldCtx):
     return ztab
 
 
-def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
+def g_permutes_unit_circle(spec: FamilySpec, m: int) -> bool:
     """Whether the reduced g maps the unit circle bijectively onto itself.
 
     The circle is cyclic of order q+1, so the five-term N and H restrict
@@ -346,8 +346,8 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int, cap: int = MU_CAP) -> bool:
     """
     import numpy as np
 
-    if m > cap:
-        raise ValueError(f"m = {m} exceeds the unit-circle cap {cap}")
+    if m > MU_CAP:
+        raise ValueError(f"m = {m} exceeds the unit-circle cap {MU_CAP}")
     ctx = make_field(2 * m, m)
     gmap = g_map(spec)
     ztab = _unit_circle_table(ctx)

@@ -45,16 +45,16 @@ class SearchConfig:
     m_set: frozenset[int] = frozenset({2, 3, 4, 5})
     workers: int = 1
 
-    def validate(self, n_cap: int = SEARCH_N_CAP) -> None:
+    def validate(self) -> None:
         if not 5 <= self.t_max <= 40:
             raise ValueError(f"t_max must lie in [5, 40] (below 5 nothing is searched), "
                              f"got {self.t_max}")
         if not self.m_set:
             raise ValueError("m_set must be nonempty")
         for m in self.m_set:
-            if m < 1 or 2 * m > n_cap:
+            if m < 1 or 2 * m > SEARCH_N_CAP:
                 raise ValueError(
-                    f"m = {m} infeasible: field degree {2 * m} exceeds cap {n_cap}")
+                    f"m = {m} infeasible: field degree {2 * m} exceeds cap {SEARCH_N_CAP}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 

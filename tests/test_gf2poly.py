@@ -108,6 +108,10 @@ def test_derivative_basic():
     assert poly_derivative(P("x^4")) == BinPoly(0)
 
 
+def test_derivative_of_zero():
+    assert poly_derivative(BinPoly(0)) == BinPoly(0)
+
+
 def test_derivative_of_family_polynomial():
     assert poly_derivative(P("x^10+x^9+x^3+x+1")) == P("x^8+x^2+1")
 
