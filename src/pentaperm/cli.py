@@ -31,6 +31,8 @@ ENV_PREFIX = "PENTAPERM_"
 CONFIG_KEYS = ("brute_cap", "workers", "format", "out")
 # accepted i, j and --i-max/--j-max: H has degree about 2^i
 _IJ_RANGE = range(1, 13)
+# one encoder for every json record: json.dumps(..., sort_keys=True) builds one per call
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass
@@ -113,7 +115,7 @@ def render(report: Report, fmt: str) -> str:
     """json: one sorted-key object per record; other formats: the command's
     rendering for that format, falling back to its text."""
     if fmt == "json" and report.records is not None:
-        return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in report.records)
+        return "".join(_encode(rec) + "\n" for rec in report.records)
     rendered = {"md": report.md, "csv": report.csv}.get(fmt)
     return report.text if rendered is None else rendered
 

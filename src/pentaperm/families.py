@@ -39,7 +39,9 @@ CLASSES = ("A", "B", "C")
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One member of a family: class letter plus the two power exponents."""
+    """One member of a family: class letter plus the two power exponents.
+
+    Any positive i, j is accepted; only the CLI bounds them (i, j <= 12)."""
 
     cls: str
     i: int
@@ -124,30 +126,35 @@ def eval_f(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> FieldElem:
 
 @dataclass(frozen=True)
 class GeneralPentanomial:
-    """Search shape x^t + sum of x^(r_k(q-1)+t) with 1 <= r1 < .. < r4 <= t."""
+    """Search shape x^t + sum of x^(r_k(q-1)+t) with 1 <= r1 < .. < r4 <= t.
+
+    Any t is accepted; only SearchConfig.validate bounds the search (t_max <= 40)."""
 
     t: int
     rs: tuple[int, int, int, int]
 
     def __post_init__(self):
         rs = self.rs
+        if len(rs) == 4 and 1 <= rs[0] < rs[1] < rs[2] < rs[3] <= self.t:
+            return
         if len(rs) != 4 or any(a >= b for a, b in zip(rs, rs[1:])):
             raise ValueError("r-tuple must be strictly increasing")
-        if rs[0] < 1 or rs[3] > self.t:
-            raise ValueError("r values must lie in [1, t]")
+        raise ValueError("r values must lie in [1, t]")
 
     def h_poly(self) -> BinPoly:
-        """H(x) = 1 + x^r1 + x^r2 + x^r3 + x^r4."""
-        return BinPoly.from_exponents((0,) + self.rs)
+        """H(x) = 1 + x^r1 + x^r2 + x^r3 + x^r4 (distinct bits: OR is XOR)."""
+        r1, r2, r3, r4 = self.rs
+        return BinPoly(1 | 1 << r1 | 1 << r2 | 1 << r3 | 1 << r4)
 
     def n_poly(self) -> BinPoly:
         """N(x) = x^t * H(1/x)."""
-        return poly_reverse(self.h_poly(), self.t)
+        t, (r1, r2, r3, r4) = self.t, self.rs
+        return BinPoly(1 << t | 1 << t - r1 | 1 << t - r2 | 1 << t - r3 | 1 << t - r4)
 
     def exponents(self, m: int) -> tuple[int, ...]:
         """Field exponents at q = 2^m: t and r_k(q-1)+t."""
-        q = 1 << m
-        return (self.t,) + tuple(r * (q - 1) + self.t for r in self.rs)
+        t, (r1, r2, r3, r4), q1 = self.t, self.rs, (1 << m) - 1
+        return (t, r1 * q1 + t, r2 * q1 + t, r3 * q1 + t, r4 * q1 + t)
 
 
 def gcd_condition(p: GeneralPentanomial) -> bool:

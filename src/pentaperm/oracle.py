@@ -22,8 +22,10 @@ monomials_permute remembers its verdicts in a bounded LRU memo of
 _MEMO_SIZE entries, keyed by n and the reduced exponent tuple.  The key
 is exact: on nonzero x, x^e depends only on e mod 2^n - 1, equal terms
 cancel in pairs, and every exponent is at least 1, so 0 maps to 0.  The
-search's shapes share few keys at small n (45 among 35,744 calls at
-n = 4).  A test that patches _BLOCK must clear the memo
+search's shapes share many keys at small n (45 among 35,744 calls at
+n = 4), none at n = 10: its 35,744 distinct n = 10 keys (t_max = 25) flood
+the memo, so a run makes 38,291 misses against 36,826 distinct keys: 1,465
+n = 6 keys swept again.  A test that patches _BLOCK must clear the memo
 (_sweep_permutes.cache_clear()), or its sweep may be answered from it.
 
 Branch points are reported as images of critical points found among the
@@ -155,8 +157,8 @@ def _power_sum_blocks(ctx: FieldCtx, exps):
 
     order = ctx.order
     if order <= _BLOCK:
-        values = np.zeros(order, dtype=np.uint16)
-        for e in exps:
+        values = _column(ctx.n, exps[0]).copy() if exps else np.zeros(order, dtype=np.uint16)
+        for e in exps[1:]:
             values ^= _column(ctx.n, e)
         yield _column(ctx.n, 1), values
         return
@@ -206,7 +208,7 @@ def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     """
     if n > cap:
         raise ValueError(f"field degree {n} exceeds the brute cap {cap}")
-    exps = list(exponents)
+    exps = tuple(exponents)
     if exps and min(exps) < 1:
         raise ValueError("exponents must be positive")
     return _sweep_permutes(n, _reduced_exponents((1 << n) - 1, exps))

@@ -14,7 +14,7 @@ import io
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .families import GeneralPentanomial, gcd_condition, table1_registry
@@ -35,6 +35,8 @@ __all__ = [
 # Search sweeps thousands of fields, so its brute ceiling sits well below
 # the single-shot oracle cap.
 SEARCH_N_CAP = 16
+# one encoder for every record: json.dumps(..., sort_keys=True) builds one per call
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class Candidate:
         return (self.shape.t, self.shape.rs)
 
 
-def _search_block(args) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+def _search_block(args) -> list[tuple[GeneralPentanomial, tuple[int, ...]]]:
     t_values, m_list = args
     found = []
     for t in t_values:
@@ -87,7 +89,7 @@ def _search_block(args) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
                 m for m in m_list
                 if monomials_permute(2 * m, shape.exponents(m), cap=SEARCH_N_CAP))
             if survived:
-                found.append((t, rs, survived))
+                found.append((shape, survived))
     return found
 
 
@@ -111,24 +113,15 @@ def run_search(cfg: SearchConfig) -> list[Candidate]:
         chunks = [t_values[k::nblocks] for k in range(nblocks)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_search_block, [(c, m_list) for c in chunks]))
-    found = [
-        Candidate(GeneralPentanomial(t, rs), survived)
-        for block in blocks for t, rs, survived in block
-    ]
+    found = [Candidate(shape, survived) for block in blocks for shape, survived in block]
     found.sort(key=Candidate.sort_key)
     return found
 
 
 def match_candidates(cands: list[Candidate]) -> list[Candidate]:
     """Annotate candidates whose (t, r-tuple) equals a registry row's shape."""
-    by_shape = {}
-    for row in table1_registry():
-        shape = row.shape()
-        by_shape[(shape.t, shape.rs)] = row.row_no
-    return [
-        replace(c, matched_row=by_shape.get((c.shape.t, c.shape.rs)))
-        for c in cands
-    ]
+    by_shape = {row.shape(): row.row_no for row in table1_registry()}
+    return [Candidate(c.shape, c.survived_m, by_shape.get(c.shape)) for c in cands]
 
 
 def candidate_records(cands: list[Candidate]) -> Iterator[dict]:
@@ -144,7 +137,7 @@ def candidate_records(cands: list[Candidate]) -> Iterator[dict]:
 
 def candidates_jsonl(cands: list[Candidate]) -> str:
     """One JSON object per line, stable key order."""
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in candidate_records(cands))
+    return "".join(_encode(rec) + "\n" for rec in candidate_records(cands))
 
 
 def candidates_csv(cands: list[Candidate]) -> str:

@@ -151,6 +151,20 @@ def test_search_csv(capsys):
     assert any(line.startswith("9,3,5,7,8,3,1") for line in lines)
 
 
+def test_search_json_matches_candidates_jsonl(capsys):
+    # the benchmark digests candidates_jsonl, the CLI renders through render
+    from pentaperm.search import SearchConfig, candidates_jsonl, match_candidates, run_search
+
+    cfg = SearchConfig(t_max=12, m_set=frozenset({2, 3}))
+    expected = candidates_jsonl(match_candidates(run_search(cfg)))
+    code, out = run_cli(capsys, "--format", "json", "search", "--t-max", "12", "--m-set", "2,3")
+    assert code == 0
+    lines = [line + "\n" for line in out.splitlines()
+             if json.loads(line)["kind"] == "search_candidate"]
+    assert len(lines) == 415
+    assert "".join(lines) == expected
+
+
 def test_search_bad_mset():
     with pytest.raises(SystemExit) as err:
         main(["search", "--t-max", "10", "--m-set", "2,zebra"])

@@ -4,6 +4,8 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import all_specs
 from pentaperm.families import (
@@ -146,6 +148,35 @@ def test_shape_masks_equal_their_definitions():
             shape = GeneralPentanomial(t, rs)
             assert shape.h_poly().bits == sum(1 << e for e in (0,) + rs)
             assert shape.n_poly().bits == sum(1 << (t - e) for e in (0,) + rs)
+
+
+@st.composite
+def shapes(draw):
+    t = draw(st.integers(4, 40))
+    rs = draw(st.lists(st.integers(1, t), min_size=4, max_size=4, unique=True))
+    return GeneralPentanomial(t, tuple(sorted(rs)))
+
+
+@given(shape=shapes(), m=st.integers(1, 20))
+def test_shape_arithmetic_equals_its_definitions(shape, m):
+    t, rs, q = shape.t, shape.rs, 1 << m
+    h = BinPoly.from_exponents((0,) + rs)
+    n = poly_reverse(h, t)
+    assert shape.h_poly() == h
+    assert shape.n_poly() == n
+    assert shape.exponents(m) == (t,) + tuple(r * (q - 1) + t for r in rs)
+    assert gcd_condition(shape) == (poly_gcd(h, n) == BinPoly(1))
+
+
+@given(shape=shapes(), k=st.integers(1, 5))
+def test_invalid_r_tuples_raise(shape, k):
+    t, rs = shape.t, shape.rs
+    for bad in (rs[:3], rs + (t + k,), (rs[1], rs[0]) + rs[2:], (rs[0],) * 2 + rs[2:]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GeneralPentanomial(t, bad)
+    for bad in ((1 - k,) + rs[1:], rs[:3] + (t + k,)):  # r1 < 1, r4 > t
+        with pytest.raises(ValueError, match=r"lie in \[1, t\]"):
+            GeneralPentanomial(t, bad)
 
 
 def test_general_pentanomial_validation():

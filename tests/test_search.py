@@ -1,5 +1,7 @@
 """Unit tests for the discovery sweep."""
 
+from collections import Counter
+
 import pytest
 
 from pentaperm.families import GeneralPentanomial, table1_registry
@@ -77,6 +79,31 @@ def test_worker_count_does_not_change_output():
     forked = candidates_jsonl(match_candidates(
         run_search(SearchConfig(t_max=14, m_set=frozenset({2, 3}), workers=2))))
     assert base == forked
+
+
+def test_search_call_counts(monkeypatch):
+    # the traced-benchmark gate at a small size: every shape gets one sieve
+    # gcd and every survivor one brute test per m, none dropped at the call site
+    from pentaperm import families, search
+
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((search, "gcd_condition"), (families, "poly_gcd"),
+                        (search, "monomials_permute")):
+        count(owner, name)
+    cands = run_search(SearchConfig(t_max=12, m_set=frozenset({2, 3})))
+    # sum of C(t, 4) for t = 4..11 shapes; 520 sieve survivors, two m each
+    assert calls == {"gcd_condition": 792, "poly_gcd": 792, "monomials_permute": 1040}
+    assert len(cands) == 415
 
 
 def test_jsonl_and_csv_round():
