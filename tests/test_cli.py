@@ -10,6 +10,7 @@ import pytest
 
 from pentaperm import cli
 from pentaperm.cli import build_parser, main
+from pentaperm.search import SearchConfig, candidates_jsonl, match_candidates, run_search
 
 
 def run_cli(capsys, *argv):
@@ -153,8 +154,6 @@ def test_search_csv(capsys):
 
 def test_search_json_matches_candidates_jsonl(capsys):
     # the benchmark digests candidates_jsonl, the CLI renders through render
-    from pentaperm.search import SearchConfig, candidates_jsonl, match_candidates, run_search
-
     cfg = SearchConfig(t_max=12, m_set=frozenset({2, 3}))
     expected = candidates_jsonl(match_candidates(run_search(cfg)))
     code, out = run_cli(capsys, "--format", "json", "search", "--t-max", "12", "--m-set", "2,3")

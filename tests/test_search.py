@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from pentaperm import families, search
 from pentaperm.families import GeneralPentanomial, table1_registry
 from pentaperm.search import (
     Candidate,
@@ -84,8 +85,6 @@ def test_worker_count_does_not_change_output():
 def test_search_call_counts(monkeypatch):
     # the traced-benchmark gate at a small size: every shape gets one sieve
     # gcd and every survivor one brute test per m, none dropped at the call site
-    from pentaperm import families, search
-
     calls = Counter()
 
     def count(owner, name):
