@@ -270,19 +270,20 @@ class FieldCtx:
                 self._gen = g
         return self._gen
 
-    def powers(self, base: int, count: int):
-        """[base^0, ..., base^(count-1)] as a numpy int64 array.
+    def powers(self, base: int, count: int, head=(1,)):
+        """out[k] = head[k mod L] * base^(k // L) for k < count, L = len(head),
+        as a numpy int64 array: [base^0, ..., base^(count-1)] by default.
 
-        Built by doubling: out[B:2B] = out[:B] * base^B, one constant
+        Built by doubling: out[D:2D] = out[:D] * base^(D/L), one constant
         multiply (_times) per step, written into out in slices of _CHUNK
         entries with one scratch array.
         """
         import numpy as np
 
         out = np.empty(count, dtype=np.int64)
-        out[:1] = 1
+        step, done = base, min(len(head), count)
+        out[:done] = head[:done]
         scratch = np.empty(min(count, _CHUNK), dtype=np.int64)
-        step, done = base, 1
         while done < count:
             size = min(done, count - done)
             times = self._times(step)

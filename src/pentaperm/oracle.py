@@ -14,9 +14,10 @@ number of times are dropped, since equal terms cancel in characteristic
 2.  A field with n <= 16 is one block: its columns (g^k)^e are cached as
 uint16 arrays, so repeated small sweeps cost a few xors.  A larger field
 reads no antilog table: columns sharing a step constant g^(B e) advance as
-one sum, B logs per block, and for a pentanomial B is a multiple of its
-period, so a sweep holds the hit bitmap and a few block buffers, allocated
-once and advanced in place.  table_permutes reads a bit-order table instead.
+one sum, one multiply per block of B logs; a pentanomial's first block grows
+from one period.  A verdict sweep steps the sums alone in a few buffers beside
+the hit bitmap, and checks g's order by the primes of 2^n - 1 and the last sum
+by scalar powers.  table_permutes reads a bit-order table instead.
 
 monomials_permute remembers its verdicts in a bounded LRU memo of
 _MEMO_SIZE entries, keyed by n and the reduced exponent tuple.  The key
@@ -48,6 +49,7 @@ from dataclasses import dataclass
 from .families import FamilySpec, build_H, build_N, f_exponents
 from .field import _CHUNK, FieldCtx, FieldElem, make_field
 from .gf2poly import BinPoly, poly_divmod, poly_gcd, poly_reverse
+from .intarith import prime_factors
 
 __all__ = [
     "INFINITY",
@@ -137,21 +139,30 @@ def _column(n: int, e: int):
     if e == 1:
         col = make_field(n).exp_array().astype(np.uint16)
     else:
-        col = _column(n, 1)[np.arange(order, dtype=np.int64) * e % order]
+        idx = np.arange(order, dtype=np.intp)
+        idx *= e
+        low = idx & order
+        idx >>= n
+        idx += low  # k e < 2^(2n), 2^n = 1 mod order: k e mod order plus 0 to 2 orders
+        col = np.take(_column(n, 1), idx, mode="wrap")
     col.flags.writeable = False
     return col
 
 
-def _power_sum_blocks(ctx: FieldCtx, exps):
+def _power_sum_blocks(ctx: FieldCtx, exps, *, points: bool = True):
     """Yield (xs, values) per block of discrete logs k: the points x = g^k
-    and the xor of x^e over the reduced exponents (_reduced_exponents) at each.
-    Callers must not write to either, and a pair is valid only until the next
-    block is requested: a larger field reuses buffers allocated once per sweep.
+    (None if not points) and the xor of x^e over the reduced exponents
+    (_reduced_exponents) at each.  Callers must not write to either, and a
+    pair is valid only until the next block is requested: a larger field
+    reuses buffers allocated once per sweep.
 
-    A one-block field xors cached columns.  A larger field xors the columns
-    (g^k)^e per step constant g^(B e) and advances the points and each sum by
-    one multiply per block of B logs; B is the largest multiple of P = order /
-    gcd(order, e_i - e_0) up to _BLOCK (else _BLOCK), so g^(B e) is one constant.
+    A one-block field xors cached columns.  A larger field sums the columns
+    (g^k)^e per step constant g^(B e) and advances each sum (and the points)
+    by one multiply per block of B logs.  B is the largest multiple of P =
+    order / gcd(order, e_i - e_0) up to _BLOCK (else _BLOCK), so a sum is
+    built at its first min(P, B) logs and grown by f(g^(k+P)) = g^(P e) f(g^k).
+    g must pass the prime-factor order test, and the last sum, at g^-1,
+    must equal its scalar value.
     """
     import numpy as np
 
@@ -160,33 +171,37 @@ def _power_sum_blocks(ctx: FieldCtx, exps):
         values = _column(ctx.n, exps[0]).copy() if exps else np.zeros(order, dtype=np.uint16)
         for e in exps[1:]:
             values ^= _column(ctx.n, e)
-        yield _column(ctx.n, 1), values
+        yield (_column(ctx.n, 1) if points else None), values
         return
     g, groups = ctx.generator(), {}
-    period = order // math.gcd(order, *(e - exps[0] for e in exps))
-    block = _BLOCK // period * period or _BLOCK
-    for e in exps:  # columns with one step constant g^(block e) advance as one
-        key = block * e % order
-        groups[key] = groups.get(key, 0) ^ ctx.powers(ctx.pow(g, e), block)
-    groups = groups or {0: np.zeros(block, dtype=np.int64)}  # the empty sum
-    cols = [ctx.powers(g, block), *groups.values()]
-    steps = [ctx._times(ctx.pow(g, key)) for key in [block, *groups]]
+    if any(ctx.pow(g, order // p) == 1 for p in prime_factors(order)):
+        raise AssertionError("generator order mismatch")
+    span = min(order // math.gcd(order, *(e - exps[0] for e in exps)), _BLOCK)  # P, capped
+    block = _BLOCK // span * span
+    for e in exps:  # columns with one step constant g^(span e) advance as one
+        key = span * e % order
+        groups[key] = groups.get(key, 0) ^ ctx.powers(ctx.pow(g, e), span)
+    groups = groups or {0: np.zeros(span, dtype=np.int64)}  # the empty sum
+    # (constant per head row, head row): the points column, head [1], goes last
+    heads = [(ctx.pow(g, key), head) for key, head in groups.items()] + [(g, [1])] * points
+    cols = [ctx.powers(c, block, head) for c, head in heads]
+    steps = [ctx._times(ctx.pow(c, block // len(head))) for c, head in heads]
     # each column advances into its spare, then swaps with it
     scratch, acc, *spares = np.empty((2 + len(cols), block), dtype=np.int64)
-    ones = 0
     for lo in range(0, order, block):
         if lo:
             for c, times in enumerate(steps):
                 cols[c], spares[c] = times.apply(cols[c], out=spares[c], scratch=scratch), cols[c]
-        xs = cols[0][:order - lo]
-        values = cols[1][:len(xs)]  # a view of a column: never xored in place
-        for col in cols[2:]:
-            values = np.bitwise_xor(values, col[:len(xs)], out=acc[:len(xs)])
-        ones += int(np.count_nonzero(xs == 1))
+        size = min(block, order - lo)
+        xs = cols[-1][:size] if points else None
+        values = cols[0][:size]  # a view of a column: never xored in place
+        for col in cols[1:len(groups)]:
+            values = np.bitwise_xor(values, col[:size], out=acc[:size])
         yield xs, values
-    # g^k = 1 only at k = 0 and again at k = order: g has order 2^n - 1
-    if ones != 1 or ctx.mul(int(xs[-1]), g) != 1:
-        raise AssertionError("generator order mismatch")
+    # the last log is order - 1: a wrong step constant shows at x = g^-1
+    want = functools.reduce(int.__xor__, (ctx.pow(g, (order - 1) * e) for e in exps), 0)
+    if int(values[-1]) != want or (points and ctx.mul(int(xs[-1]), g) != 1):
+        raise AssertionError("sweep closure mismatch")
 
 
 def _power_sum_array(ctx: FieldCtx, exponents):
@@ -206,8 +221,8 @@ def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     All exponents must be positive, so 0 maps to 0; the verdict depends
     only on n and the reduced exponents, and is memoized on them.
     """
-    if n > cap:
-        raise ValueError(f"field degree {n} exceeds the brute cap {cap}")
+    if not 1 <= n <= cap:
+        raise ValueError(f"field degree {n} outside 1 .. {cap} (the brute cap)")
     exps = tuple(exponents)
     if exps and min(exps) < 1:
         raise ValueError("exponents must be positive")
@@ -222,7 +237,7 @@ def _sweep_permutes(n: int, exps: tuple[int, ...]) -> bool:
 
     ctx = make_field(n)
     bitmap = np.zeros(1 << n, dtype=bool)
-    for _, values in _power_sum_blocks(ctx, exps):
+    for _, values in _power_sum_blocks(ctx, exps, points=False):
         bitmap[values.astype(np.intp, copy=False)] = True
     return bool(not bitmap[0] and np.count_nonzero(bitmap) == ctx.order)
 

@@ -334,6 +334,25 @@ def test_powers_of_arbitrary_base(n, rng):
             assert got == [ctx.pow(base, k) for k in range(count)]
 
 
+@st.composite
+def powers_with_head(draw):
+    """A degree n <= 24, a base, a count and a head row of field elements."""
+    n = draw(st.integers(1, 24))
+    element = st.integers(0, (1 << n) - 1)
+    return (n, draw(element), draw(st.integers(0, 300)),
+            draw(st.lists(element, min_size=1, max_size=40)))
+
+
+@given(case=powers_with_head())
+def test_powers_from_a_head_row(case):
+    # out[k] = head[k mod L] * base^(k // L), by scalar arithmetic
+    n, base, count, head = case
+    ctx = make_field(n)
+    got = ctx.powers(base, count, np.array(head, dtype=np.int64)).tolist()
+    assert got == [ctx.mul(head[k % len(head)], ctx.pow(base, k // len(head)))
+                   for k in range(count)]
+
+
 def test_exp_array_refuses_a_non_generator(monkeypatch):
     # a fresh context, so no antilog table is cached; g^3 has order
     # (2^18 - 1)/3, so its walk closes but revisits 1 twice

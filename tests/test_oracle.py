@@ -70,6 +70,13 @@ def test_monomials_permute_validation():
         monomials_permute(30, [2])
     with pytest.raises(ValueError):
         monomials_permute(4, [0])
+    # degrees below 1 are refused by name before any field or array is built
+    with mock.patch.object(oracle, "make_field", side_effect=AssertionError("built")):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"field degree {n} "):
+                monomials_permute(n, [1])
+        with pytest.raises(ValueError, match="field degree 0 "):
+            brute_is_permutation(FamilySpec("A", 3, 1), 0)
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -325,6 +332,52 @@ def test_pentanomial_sweep_steps_the_points_and_one_sum(monkeypatch):
             make_field(18), oracle._reduced_exponents(order, exps))]
         assert sizes == [block] * (order // block) + [order % block] * (order % block > 0)
         assert calls.count(block) == per_block * (len(sizes) - 1)
+
+
+def test_verdict_sweep_steps_one_sum(monkeypatch):
+    # the verdict path steps no points: one constant multiply per block of
+    # 513 * 127 logs after the first, which grows from one period of 513
+    exps = f_exponents(FamilySpec("B", 5, 6), 9)
+    blocks = -(-((1 << 18) - 1) // (513 * 127))
+    calls = count_applies(monkeypatch)
+    with sweep_block(oracle._BLOCK):
+        assert monomials_permute(18, exps) == theorem_verdict(FamilySpec("B", 5, 6), 9).predicted
+    assert calls.count(513 * 127) == blocks - 1 and max(calls) == 513 * 127
+    assert all(xs is None for xs, _ in oracle._power_sum_blocks(
+        make_field(18), oracle._reduced_exponents((1 << 18) - 1, exps), points=False))
+
+
+def test_verdict_sweep_refuses_a_non_generator(monkeypatch):
+    ctx = make_field(18)
+    not_generator = ctx.pow(ctx.generator(), 3)
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    with sweep_block(oracle._BLOCK), pytest.raises(AssertionError, match="generator order mismatch"):
+        monomials_permute(18, f_exponents(FamilySpec("B", 5, 6), 9))
+
+
+def test_verdict_sweep_refuses_a_wrong_sum_step(monkeypatch):
+    # the sum's step constant g^(B e_0), replaced by g^(B e_0 + 1): the
+    # blocks still mark a bitmap, but the last sum is no longer f(g^-1)
+    ctx = make_field(18)
+    g, order = ctx.generator(), ctx.order
+    exps = oracle._reduced_exponents(order, f_exponents(FamilySpec("B", 5, 6), 9))
+    step = ctx.pow(g, 513 * 127 * exps[0])
+    times = FieldCtx._times
+    monkeypatch.setattr(FieldCtx, "_times", lambda self, c: times(
+        self, self.mul(c, g) if self is ctx and c == step else c))
+    with sweep_block(oracle._BLOCK), pytest.raises(AssertionError, match="sweep closure mismatch"):
+        monomials_permute(18, exps)
+
+
+@pytest.mark.parametrize("e", [0, 1, (1 << 16) - 2, 12345])
+def test_one_block_column_at_seeded_logs(e, rng):
+    # order - 1 = 2^16 - 2 is the largest exponent: k e reaches (2^16 - 2)^2,
+    # just below 2^32
+    ctx = make_field(16)
+    g, col = ctx.generator(), oracle._column(16, e)
+    assert col.dtype == np.uint16 and len(col) == ctx.order and not col.flags.writeable
+    for k in [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(300)]:
+        assert int(col[k]) == ctx.pow(ctx.pow(g, k), e)
 
 
 def test_multi_block_sweep_with_a_block_the_period_divides():
