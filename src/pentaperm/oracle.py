@@ -2,8 +2,10 @@
 
 Nothing here consults the closed-form theory: permutation status comes
 from exhaustive sweeps with a hit bitmap, the fractional map g = N/H is
-evaluated on the whole unit circle as arrays, and ramification indices
-come from Hasse derivatives evaluated over all of GF(2^(2m)).  That
+checked on the whole unit circle in polar coordinates (N and H as arrays,
+each value written as lambda zeta^i by integer gathers, with no field
+multiply or inverse), and ramification indices come from Hasse
+derivatives evaluated over all of GF(2^(2m)).  That
 independence is what makes agreement with the theorem engine a
 meaningful check.
 
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 from .families import FamilySpec, build_H, build_N, f_exponents
-from .field import _CHUNK, FieldCtx, FieldElem, make_field
+from .field import _CHUNK, FieldCtx, FieldElem, LinearMap, make_field
 from .gf2poly import BinPoly, poly_divmod, poly_gcd, poly_reverse
 from .intarith import prime_factors
 
@@ -55,7 +57,6 @@ __all__ = [
     "INFINITY",
     "ProjPoint",
     "RationalMap",
-    "DegreeOneMap",
     "BRUTE_CAP",
     "MU_CAP",
     "monomials_permute",
@@ -71,8 +72,6 @@ __all__ = [
     "branch_points_of_map",
     "critical_point_residual",
     "ramification_report",
-    "deg1_bijects_mu",
-    "deg1_mu_to_p1",
 ]
 
 BRUTE_CAP = 24  # largest field degree 2m swept exhaustively by default
@@ -116,6 +115,8 @@ def _check_owner(ctx: FieldCtx, point: ProjPoint) -> None:
 _BLOCK = _CHUNK
 # Distinct (n, reduced exponents) verdicts monomials_permute remembers.
 _MEMO_SIZE = 1024
+# Points per slice of a circle or ramification scan: temporaries stay in cache.
+_SLICE = _CHUNK // 4
 
 
 def _reduced_exponents(order: int, exponents) -> tuple[int, ...]:
@@ -338,9 +339,9 @@ def _sparse_values(table, ks, exps):
     step = max(1, _CHUNK // max(1, len(ks)))
     for lo in range(0, len(exps), step):
         es = np.array(exps[lo:lo + step], dtype=np.int64) % len(table)
-        for lo_k in range(0, len(ks), _CHUNK // 4):  # slices whose temporaries stay in cache
-            idx = np.multiply.outer(es, ks[lo_k:lo_k + _CHUNK // 4]) % len(table)
-            acc[lo_k:lo_k + _CHUNK // 4] ^= np.bitwise_xor.reduce(table[idx], axis=0)
+        for lo_k in range(0, len(ks), _SLICE):
+            idx = np.multiply.outer(es, ks[lo_k:lo_k + _SLICE]) % len(table)
+            acc[lo_k:lo_k + _SLICE] ^= np.bitwise_xor.reduce(table[idx], axis=0)
     return acc
 
 
@@ -352,14 +353,77 @@ def _unit_circle_table(ctx: FieldCtx):
     return ztab
 
 
+def _ratio_keys(logs, coords, m: int):
+    """(key, lead) of nonzero y = a + b zeta from coords = a | b << m, with
+    logs[0] = -2^41: key is log a - log b mod q - 1 for the ratio [a : b],
+    -1 when a = 0 and q - 1 when b = 0 (the difference is then below -2^40
+    or above 2^40, and clipped); lead is log b, or log a - 2^40 when b = 0."""
+    import numpy as np
+
+    low = (1 << m) - 1
+    la, lb = logs[coords & low], logs[coords >> m]
+    key = la - lb
+    key += low & (key >> 63)  # a negative difference gains q - 1
+    np.clip(key, -1, low, out=key)
+    la -= 1 << 40
+    return key, np.maximum(lb, la, out=lb)
+
+
+@functools.lru_cache(maxsize=1)
+def _polar_tables(ctx: FieldCtx):
+    """(basis, logs, index, offset) for y = lambda zeta^i in GF(q^2)*, one
+    set per process.  As q is even, GF(q^2)* is GF(q)* x mu_(q+1), and the
+    ratio [a : b] of y = a + b zeta (zeta = ztab[1]) names i, since the
+    circle's q + 1 points have distinct ratios.  basis maps bits to
+    coordinates a | b << m over gamma^j, gamma^j zeta (j < m, gamma
+    generating GF(q)*); logs[a] = log_gamma a (size q); index[key] = i and
+    offset[key] = the lead log of zeta^i (size q + 1, keys of _ratio_keys)."""
+    import numpy as np
+
+    m, ztab = ctx.subfield_m, _unit_circle_table(ctx)
+    sub = ctx._subgroup((1 << m) - 1)
+    low = sub[:m].tolist()
+    forward = LinearMap(low + [ctx.mul(s, int(ztab[1])) for s in low])
+    if forward.rank() != 2 * m:
+        raise AssertionError("polar basis is not a basis")
+    basis = LinearMap([forward.preimage(1 << k) for k in range(2 * m)])
+    logs = np.full(1 << m, -1 << 41, dtype=np.int64)
+    for lo in range(0, len(sub), _SLICE):
+        coords = basis.apply(sub[lo:lo + _SLICE])
+        if int(coords.max()) >> m:
+            raise AssertionError("subfield element off the first coordinate")
+        logs[coords] = np.arange(lo, lo + len(coords))
+    del sub  # before the two circle-sized tables: a lower peak at m = 20
+    index, offset = np.full(len(ztab), -1, dtype=np.int64), np.empty(len(ztab), dtype=np.int64)
+    for lo in range(0, len(ztab), _SLICE):
+        key, offset_by_point = _ratio_keys(logs, basis.apply(ztab[lo:lo + _SLICE]), m)
+        index[key], offset[key] = np.arange(lo, lo + len(key)), offset_by_point
+    if int(np.count_nonzero(index < 0)):
+        raise AssertionError("circle points share a ratio")
+    return basis, logs, index, offset
+
+
+def _polar(ctx: FieldCtx, ys):
+    """(i, log_gamma lambda) arrays with y = lambda zeta^i, lambda in GF(q)*,
+    for a numpy array of y (_polar_tables names zeta and gamma); y = 0 gets
+    a log below 0, which matches no lambda."""
+    basis, logs, index, offset = _polar_tables(ctx)
+    key, lead = _ratio_keys(logs, basis.apply(ys), ctx.subfield_m)
+    lead -= offset[key]
+    lead += len(offset) - 2 & (lead >> 63)
+    return index[key], lead
+
+
 def g_permutes_unit_circle(spec: FamilySpec, m: int) -> bool:
     """Whether the reduced g maps the unit circle bijectively onto itself.
 
     The circle is cyclic of order q+1, so the five-term N and H restrict
-    to lookups in a (q+1)-entry power table, and g = N H^-1 is one array
-    inverse and one array multiply.  Only the roots of H on the circle
-    need the reduced polynomials directly.  Bijectivity is one sorted
-    comparison with the circle.
+    to lookups in a (q+1)-entry power table, taken in _SLICE slices.  In
+    polar form y = lambda zeta^i (_polar), N/H lies on the circle iff
+    lambda(N) = lambda(H), and is then zeta^(i(N) - i(H)): g permutes the
+    circle iff every lambda matches and i(N) - i(H) mod q + 1 hits every
+    residue.  Only the roots of H on the circle need the reduced
+    polynomials directly; a pole there, or a zero of g, answers False.
     """
     import numpy as np
 
@@ -368,18 +432,23 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int) -> bool:
     ctx = make_field(2 * m, m)
     gmap = g_map(spec)
     ztab = _unit_circle_table(ctx)
-    ks = np.arange(len(ztab), dtype=np.int64)
-    hvals = _sparse_values(ztab, ks, gmap.den.exponents())
-    values = ctx.mul_array(_sparse_values(ztab, ks, gmap.num.exponents()),
-                           ctx.inv_array(hvals))
-    # roots of H take the reduced form: at most two are roots of N too, and
-    # at any other the reduced denominator vanishes, so g hits infinity
-    for k in np.flatnonzero(hvals == 0).tolist():
-        red = gmap.eval_bits(ctx, int(ztab[k]))
-        if red is INFINITY:
+    exps = [p.exponents() for p in (gmap.num, gmap.den)]
+    hits = np.zeros(len(ztab), dtype=bool)
+    for lo in range(0, len(ztab), _SLICE):
+        ks = np.arange(lo, min(lo + _SLICE, len(ztab)), dtype=np.int64)
+        nvals, hvals = (_sparse_values(ztab, ks, e) for e in exps)
+        # roots of H take the reduced form: at most two are roots of N too, and
+        # at any other the reduced denominator vanishes, so g hits infinity
+        for k in np.flatnonzero(hvals == 0).tolist():
+            red = gmap.eval_bits(ctx, int(ztab[lo + k]))
+            if red is INFINITY:
+                return False
+            nvals[k], hvals[k] = red, 1
+        (i_num, lam_num), (i_den, lam_den) = _polar(ctx, nvals), _polar(ctx, hvals)
+        if not np.array_equal(lam_num, lam_den):
             return False
-        values[k] = red
-    return bool(np.array_equal(np.sort(values), np.sort(ztab)))
+        hits[i_num - i_den] = True  # a negative index wraps: the residue mod q + 1
+    return bool(hits.all())
 
 
 # ---------------------------------------------------------------------------
@@ -490,85 +559,3 @@ def ramification_report(spec: FamilySpec, ctx: FieldCtx) -> list[dict]:
     return [{"point": "inf" if point is INFINITY else point.hex(), "index": e,
              "image": "inf" if image is INFINITY else image.hex()}
             for point, image, e in _ramification_table(g_map(spec), ctx)[2]]
-
-
-# ---------------------------------------------------------------------------
-# degree-one maps on the unit circle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DegreeOneMap:
-    """x -> (a x + b) / (c x + d) with ad + bc != 0 (characteristic 2)."""
-
-    a: FieldElem
-    b: FieldElem
-    c: FieldElem
-    d: FieldElem
-
-    def __post_init__(self):
-        ctx = self.a.ctx
-        if any(coef.ctx != ctx for coef in (self.b, self.c, self.d)):
-            raise ValueError("coefficients from different field contexts")
-        det = ctx.mul(self.a.bits, self.d.bits) ^ ctx.mul(self.b.bits, self.c.bits)
-        if det == 0:
-            raise ValueError("degenerate degree-one map (ad + bc = 0)")
-
-    def eval(self, point: ProjPoint) -> ProjPoint:
-        ctx = self.a.ctx
-        if point is INFINITY:
-            if self.c.bits == 0:
-                return INFINITY
-            return ctx.elem(ctx.mul(self.a.bits, ctx.inv(self.c.bits)))
-        x = point.bits
-        den = ctx.mul(self.c.bits, x) ^ self.d.bits
-        if den == 0:
-            return INFINITY
-        num = ctx.mul(self.a.bits, x) ^ self.b.bits
-        return ctx.elem(ctx.mul(num, ctx.inv(den)))
-
-
-def _in_mu(ctx: FieldCtx, bits: int) -> bool:
-    return bits != 0 and ctx.mul(ctx.frob_q(bits), bits) == 1
-
-
-def deg1_bijects_mu(rho: DegreeOneMap, ctx: FieldCtx) -> bool:
-    """Unit-circle bijection test by the classification of such maps.
-
-    A degree-one map permutes the circle exactly when it is beta*x or
-    beta/x with beta on the circle, or (x + gamma^q beta)/(gamma x + beta)
-    with beta on the circle and gamma off it.
-    """
-    if ctx.subfield_m is None:
-        raise ValueError("needs a context with subfield structure")
-    _check_owner(ctx, rho.a)
-    a, b, c, d = rho.a.bits, rho.b.bits, rho.c.bits, rho.d.bits
-    if c == 0 and b == 0:
-        return _in_mu(ctx, ctx.mul(a, ctx.inv(d)))
-    if a == 0 and d == 0:
-        return _in_mu(ctx, ctx.mul(b, ctx.inv(c)))
-    if a != 0 and c != 0:
-        inv_a = ctx.inv(a)
-        gamma = ctx.mul(c, inv_a)
-        beta = ctx.mul(d, inv_a)
-        return (_in_mu(ctx, beta) and not _in_mu(ctx, gamma)
-                and ctx.mul(b, inv_a) == ctx.mul(ctx.frob_q(gamma), beta))
-    return False
-
-
-def deg1_mu_to_p1(l: DegreeOneMap, ctx: FieldCtx) -> bool:
-    """Circle-to-projective-line bijection test by classification.
-
-    Such maps are exactly (delta x + beta delta^q)/(x + beta) with beta on
-    the circle and delta outside the base field.
-    """
-    if ctx.subfield_m is None:
-        raise ValueError("needs a context with subfield structure")
-    _check_owner(ctx, l.a)
-    a, b, c, d = l.a.bits, l.b.bits, l.c.bits, l.d.bits
-    if c == 0:
-        return False
-    inv_c = ctx.inv(c)
-    delta = ctx.mul(a, inv_c)
-    beta = ctx.mul(d, inv_c)
-    return (_in_mu(ctx, beta) and ctx.frob_q(delta) != delta
-            and ctx.mul(b, inv_c) == ctx.mul(beta, ctx.frob_q(delta)))

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -17,18 +18,16 @@ from hypothesis import strategies as st
 from conftest import all_specs, power_sum_table
 from pentaperm import field, oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
-from pentaperm.field import FieldCtx, make_field, omega, unit_circle
+from pentaperm.field import FieldCtx, FieldElem, make_field, omega, unit_circle
 from pentaperm.gf2poly import BinPoly
 from pentaperm.oracle import (
     INFINITY,
-    DegreeOneMap,
+    ProjPoint,
     RationalMap,
     branch_points,
     branch_points_of_map,
     brute_is_permutation,
     critical_point_residual,
-    deg1_bijects_mu,
-    deg1_mu_to_p1,
     fiber_indices,
     g_eval,
     g_map,
@@ -485,6 +484,18 @@ def test_g_permutes_circle_equals_pointwise_g_eval(m):
         assert g_permutes_unit_circle(spec, m) == (images == set(circle)), spec
 
 
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_g_permutes_circle_refuses_a_zero_on_the_circle(m, monkeypatch):
+    # (x + 1)/(x^2 + x + 1) takes 1, on every circle, to 0, off it; at even
+    # m the roots of x^2 + x + 1 lie off the circle, so g has no pole there
+    gmap = RationalMap.make(BinPoly(0b11), BinPoly(0b111))
+    monkeypatch.setattr(oracle, "g_map", lambda spec: gmap)
+    ctx = make_field(2 * m, m)
+    assert 0 in oracle._sparse_values(oracle._unit_circle_table(ctx), np.arange(1), [0, 1])
+    assert oracle._polar(ctx, np.zeros(1, dtype=np.int64))[1][0] < 0
+    assert not g_permutes_unit_circle(FamilySpec("A", 1, 1), m)
+
+
 @pytest.mark.parametrize("num, den", [(0b10, 0b111), (0b111, 0b10101)])
 def test_g_permutes_circle_refuses_a_pole_on_the_circle(num, den, monkeypatch):
     # no family cell above has a pole on the circle; x/(x^2+x+1) has one
@@ -509,6 +520,104 @@ def test_g_permutes_circle_large_even_m():
 def test_g_permutes_cap():
     with pytest.raises(ValueError):
         g_permutes_unit_circle(FamilySpec("A", 1, 1), 21)
+
+
+# -- reference: g on the circle by array inverse and multiply -------------------
+
+def g_permutes_unit_circle_by_inverse(spec, m):
+    """g = N H^-1 at every circle point by one array inverse and one array
+    multiply, roots of H by the reduced form, and bijectivity by one sorted
+    comparison with the circle."""
+    ctx = make_field(2 * m, m)
+    gmap = oracle.g_map(spec)
+    ztab = oracle._unit_circle_table(ctx)
+    ks = np.arange(len(ztab), dtype=np.int64)
+    hvals = oracle._sparse_values(ztab, ks, gmap.den.exponents())
+    values = ctx.mul_array(oracle._sparse_values(ztab, ks, gmap.num.exponents()),
+                           ctx.inv_array(hvals))
+    for k in np.flatnonzero(hvals == 0).tolist():
+        red = gmap.eval_bits(ctx, int(ztab[k]))
+        if red is INFINITY:
+            return False
+        values[k] = red
+    return bool(np.array_equal(np.sort(values), np.sort(ztab)))
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_g_permutes_circle_equals_inverse_reference(m):
+    # every (class, i, j <= 5) up to m = 12, then one seeded spec per m
+    specs = all_specs(5) if m <= 12 else [random.Random(m).choice(all_specs(12))]
+    for spec in specs:
+        assert g_permutes_unit_circle(spec, m) == g_permutes_unit_circle_by_inverse(spec, m), spec
+
+
+def circle_generators(m):
+    """(gamma, zeta): the generators of GF(q)* and mu_(q+1) that the polar tables use."""
+    ctx = make_field(2 * m, m)
+    return ctx.pow(ctx.generator(), (1 << m) + 1), int(oracle._unit_circle_table(ctx)[1])
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+@settings(deadline=None, max_examples=5)
+@given(data=st.data())
+def test_polar_form_rebuilds_y(m, data):
+    # y = lambda zeta^i by scalar arithmetic, for random y and for y built
+    # from (i, log lambda); i = 0 is the point with b = 0 and i = 1 (zeta
+    # itself) the one with a = 0
+    ctx = make_field(2 * m, m)
+    q = 1 << m
+    gamma, zeta = circle_generators(m)
+    pairs = [(0, 0), (1, 0), (0, q - 2), (1, q - 2)] + data.draw(
+        st.lists(st.tuples(st.integers(0, q), st.integers(0, q - 2)), max_size=8))
+    randoms = data.draw(st.lists(st.integers(1, ctx.order), max_size=8))
+    ys = randoms + [ctx.mul(ctx.pow(gamma, lam), ctx.pow(zeta, i)) for i, lam in pairs]
+    index, logs = oracle._polar(ctx, np.array(ys, dtype=np.int64))
+    got = list(zip(index.tolist(), logs.tolist()))
+    assert [ctx.mul(ctx.pow(gamma, lam), ctx.pow(zeta, i)) for i, lam in got] == ys
+    assert all(0 <= i <= q and 0 <= lam < q - 1 for i, lam in got)
+    assert got[len(randoms):] == pairs
+
+
+@pytest.mark.parametrize("m", range(2, 17, 2))
+def test_g_permutes_circle_checks_lambda(m, monkeypatch):
+    # negative control: N = x^2 + x + 1 over H = 1 takes the circle to q + 1
+    # distinct ratio classes, but not to one lambda, so g does not permute it
+    gmap = RationalMap.make(BinPoly(0b111), BinPoly(1))
+    monkeypatch.setattr(oracle, "g_map", lambda spec: gmap)
+    spec, ctx = FamilySpec("A", 1, 1), make_field(2 * m, m)
+    ztab = oracle._unit_circle_table(ctx)
+    index, logs = oracle._polar(ctx, oracle._sparse_values(ztab, np.arange(len(ztab)), [0, 1, 2]))
+    assert len(set(index.tolist())) == len(ztab) and len(set(logs.tolist())) > 1
+    assert not g_permutes_unit_circle(spec, m)
+    assert not g_permutes_unit_circle_by_inverse(spec, m)
+
+
+def test_polar_tables_refuse_a_non_generator(monkeypatch):
+    # 3 divides q - 1 = 255, so (g^3)^(q+1) has order 85: the subfield
+    # table must fail the generator-order check, with the circle cached
+    ctx = make_field(16, 8)
+    oracle._unit_circle_table(ctx)
+    oracle._polar_tables.cache_clear()
+    not_generator = ctx.pow(ctx.generator(), 3)
+    monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
+    with pytest.raises(AssertionError, match="generator order mismatch"):
+        g_permutes_unit_circle(FamilySpec("B", 5, 6), 8)
+
+
+@pytest.mark.parametrize("patch, message", [
+    (lambda ztab: np.concatenate([ztab[:1], ztab[:1], ztab[2:]]), "polar basis is not a basis"),
+    (lambda ztab: np.concatenate([ztab[:2], ztab[1:2], ztab[3:]]), "circle points share a ratio"),
+], ids=["zeta-in-subfield", "repeated-point"])
+def test_polar_tables_refuse_a_bad_circle(patch, message, monkeypatch):
+    # zeta = 1 spans nothing beyond GF(q); a repeated point repeats its ratio
+    ztab = oracle._unit_circle_table(make_field(10, 5))
+    monkeypatch.setattr(oracle, "_unit_circle_table", lambda ctx: patch(ztab))
+    oracle._polar_tables.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=message):
+            oracle._polar_tables(make_field(10, 5))
+    finally:
+        oracle._polar_tables.cache_clear()
 
 
 def test_ramification_of_pure_cube_at_zero():
@@ -720,6 +829,87 @@ def test_residual_vanishes_wherever_ramified():
 
 
 # -- degree-one map classifications ---------------------------------------------------
+# The classification of degree-one maps that permute the circle or map it
+# onto the projective line, checked against enumeration below.
+
+@dataclass(frozen=True)
+class DegreeOneMap:
+    """x -> (a x + b) / (c x + d) with ad + bc != 0 (characteristic 2)."""
+
+    a: FieldElem
+    b: FieldElem
+    c: FieldElem
+    d: FieldElem
+
+    def __post_init__(self):
+        ctx = self.a.ctx
+        if any(coef.ctx != ctx for coef in (self.b, self.c, self.d)):
+            raise ValueError("coefficients from different field contexts")
+        det = ctx.mul(self.a.bits, self.d.bits) ^ ctx.mul(self.b.bits, self.c.bits)
+        if det == 0:
+            raise ValueError("degenerate degree-one map (ad + bc = 0)")
+
+    def eval(self, point: ProjPoint) -> ProjPoint:
+        ctx = self.a.ctx
+        if point is INFINITY:
+            if self.c.bits == 0:
+                return INFINITY
+            return ctx.elem(ctx.mul(self.a.bits, ctx.inv(self.c.bits)))
+        x = point.bits
+        den = ctx.mul(self.c.bits, x) ^ self.d.bits
+        if den == 0:
+            return INFINITY
+        num = ctx.mul(self.a.bits, x) ^ self.b.bits
+        return ctx.elem(ctx.mul(num, ctx.inv(den)))
+
+
+def _in_mu(ctx: FieldCtx, bits: int) -> bool:
+    return bits != 0 and ctx.mul(ctx.frob_q(bits), bits) == 1
+
+
+def deg1_bijects_mu(rho: DegreeOneMap, ctx: FieldCtx) -> bool:
+    """Unit-circle bijection test by the classification of such maps.
+
+    A degree-one map permutes the circle exactly when it is beta*x or
+    beta/x with beta on the circle, or (x + gamma^q beta)/(gamma x + beta)
+    with beta on the circle and gamma off it.
+    """
+    if ctx.subfield_m is None:
+        raise ValueError("needs a context with subfield structure")
+    oracle._check_owner(ctx, rho.a)
+    a, b, c, d = rho.a.bits, rho.b.bits, rho.c.bits, rho.d.bits
+    if c == 0 and b == 0:
+        return _in_mu(ctx, ctx.mul(a, ctx.inv(d)))
+    if a == 0 and d == 0:
+        return _in_mu(ctx, ctx.mul(b, ctx.inv(c)))
+    if a != 0 and c != 0:
+        inv_a = ctx.inv(a)
+        gamma = ctx.mul(c, inv_a)
+        beta = ctx.mul(d, inv_a)
+        return (_in_mu(ctx, beta) and not _in_mu(ctx, gamma)
+                and ctx.mul(b, inv_a) == ctx.mul(ctx.frob_q(gamma), beta))
+    return False
+
+
+def deg1_mu_to_p1(l: DegreeOneMap, ctx: FieldCtx) -> bool:
+    """Circle-to-projective-line bijection test by classification.
+
+    Such maps are exactly (delta x + beta delta^q)/(x + beta) with beta on
+    the circle and delta outside the base field.
+    """
+    if ctx.subfield_m is None:
+        raise ValueError("needs a context with subfield structure")
+    oracle._check_owner(ctx, l.a)
+    a, b, c, d = l.a.bits, l.b.bits, l.c.bits, l.d.bits
+    if c == 0:
+        return False
+    inv_c = ctx.inv(c)
+    delta = ctx.mul(a, inv_c)
+    beta = ctx.mul(d, inv_c)
+    return (_in_mu(ctx, beta) and ctx.frob_q(delta) != delta
+            and ctx.mul(b, inv_c) == ctx.mul(beta, ctx.frob_q(delta)))
+
+
 
 def deg1_bijects_mu_by_enumeration(rho, ctx):
     """Ground truth for deg1_bijects_mu: walk the circle and compare images."""
