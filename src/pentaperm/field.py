@@ -27,7 +27,8 @@ same constant multiply advances oracle's sweep blocks).  The antilog
 table, the unit circle and the subfield's multiplicative group are
 cyclic subgroups from FieldCtx._subgroup, which checks their generator's
 order.  For n <= 16 a context also keeps the antilog table, and the log
-table derived from it, as Python lists for scalar multiplication; larger
+table derived from it, as Python lists for scalar multiplication, and the
+log table as a uint16 array (log_array) for oracle's sweeps; larger
 fields multiply via carryless word products and the fold map.
 """
 
@@ -115,16 +116,17 @@ class LinearMap:
     x maps to the xor of images[k] over the set bits k of x.  The images are
     folded, on first use, into the fewest equal-width int64 tables of at most
     _APPLY_BITS input bits (two at n = 24), tab[b] being the image of b << lo;
-    a scalar looks up one entry per table and a numpy array gathers from
-    them.  Inputs must have fewer than len(images) bits, and calls need
-    images below 2^63; rank, preimage and first_dependent_bit take any width.
+    a scalar looks up one entry per table, through a memoryview of it, and
+    a numpy array gathers from them.  Inputs must have fewer than
+    len(images) bits, and calls need images below 2^63; rank, preimage and
+    first_dependent_bit take any width.
     """
 
-    __slots__ = ("images", "_tables", "_reduced")
+    __slots__ = ("images", "_tables", "_views", "_reduced")
 
     def __init__(self, images):
         self.images = tuple(images)
-        self._tables = self._reduced = None
+        self._tables = self._views = self._reduced = None
 
     def _gather_tables(self):
         if self._tables is None:
@@ -140,10 +142,15 @@ class LinearMap:
         return self._tables
 
     def __call__(self, x: int) -> int:
+        if self._views is None:  # scalars read the same buffers as Python ints
+            self._views = [(lo, len(tab) - 1, memoryview(tab)) for lo, tab in self._gather_tables()]
         out = 0
-        for lo, tab in self._gather_tables():
-            out ^= tab.item(x >> lo & len(tab) - 1)
+        for lo, mask, view in self._views:
+            out ^= view[x >> lo & mask]
         return out
+
+    def __reduce__(self):  # memoryviews do not pickle: a copy rebuilds its tables
+        return LinearMap, (self.images,)
 
     def apply(self, src, out=None, scratch=None):
         """The map on a numpy integer array as int64, written into out (len(src) entries,
@@ -197,7 +204,7 @@ class FieldCtx:
 
     __slots__ = (
         "n", "modulus", "order", "subfield_m",
-        "_exp", "_log", "_gen", "_fold", "_exp_np", "_squarings_cache",
+        "_exp", "_log", "_gen", "_fold", "_exp_np", "_log_np", "_squarings_cache",
     )
 
     def __init__(self, n: int, modulus: int):
@@ -205,7 +212,7 @@ class FieldCtx:
         self.modulus = modulus
         self.order = (1 << n) - 1
         self.subfield_m = None if n % 2 else n // 2
-        self._exp = self._log = self._gen = self._exp_np = None
+        self._exp = self._log = self._gen = self._exp_np = self._log_np = None
         self._squarings_cache = {}
         # the high part h of a product stands for h * x^n = h * (x^n mod modulus)
         self._fold = self._times(modulus ^ (1 << n))
@@ -389,17 +396,24 @@ class FieldCtx:
         import numpy as np
 
         exp = self.exp_array()
-        log = np.zeros(1 << self.n, dtype=np.int64)
-        log[exp] = np.arange(self.order, dtype=np.int64)
+        log = np.zeros(1 << self.n, dtype=np.uint16)
+        log[exp] = np.arange(self.order)
         vals = exp.tolist()
         self._exp = vals * 2 + vals[:1]
-        self._log = log.tolist()
+        self._log, self._log_np = log.tolist(), log
 
     def exp_array(self):
         """Antilog table [g^0, ..., g^(order-1)] as a numpy int64 array."""
         if self._exp_np is None:
             self._exp_np = self._subgroup(self.order)
         return self._exp_np
+
+    def log_array(self):
+        """Log table of an n <= 16 context as a numpy uint16 array of 2^n
+        entries: log[g^k] = k, and log[0] = 0."""
+        if self._log_np is None:
+            raise ValueError(f"no log table at n = {self.n} > {LOG_TABLE_MAX_N}")
+        return self._log_np
 
     def _subgroup(self, size: int):
         """The multiplicative subgroup of the given order (a divisor of

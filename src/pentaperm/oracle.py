@@ -13,23 +13,26 @@ Every whole-field sweep is one power sum, xor of x^e over the exponents,
 taken in discrete-log order x = g^k in blocks of at most _BLOCK logs.
 Exponents are first reduced mod 2^n - 1, and residues that occur an even
 number of times are dropped, since equal terms cancel in characteristic
-2.  A field with n <= 16 is one block: its columns (g^k)^e are cached as
-uint16 arrays, so repeated small sweeps cost a few xors.  A larger field
-reads no antilog table: columns sharing a step constant g^(B e) advance as
-one sum, one multiply per block of B logs; a pentanomial's first block grows
-from one period.  A verdict sweep steps the sums alone in a few buffers beside
-the hit bitmap, and checks g's order by the primes of 2^n - 1 and the last sum
-by scalar powers.  table_permutes reads a bit-order table instead.
+2.  A field with n <= 16 is one block.  Below 2^10 nonzero points it xors
+cached whole-group columns (g^k)^e, so repeated small sweeps cost a few
+xors; above, it xors columns over one period P | 2^n - 1 of the exponents
+and grows the sum to every log through the log and antilog tables, and a
+verdict counts the values.  A larger field reads no antilog table: columns
+sharing a step constant g^(B e) advance as one sum, one multiply per block
+of B logs; a pentanomial's first block grows from one period.  A verdict
+sweep steps the sums alone in a few buffers beside the hit bitmap, and
+checks g's order by the primes of 2^n - 1.  Every grown sum is checked at
+g^-1 against scalar powers.  table_permutes reads a bit-order table instead.
 
-monomials_permute remembers its verdicts in a bounded LRU memo of
-_MEMO_SIZE entries, keyed by n and the reduced exponent tuple.  The key
-is exact: on nonzero x, x^e depends only on e mod 2^n - 1, equal terms
-cancel in pairs, and every exponent is at least 1, so 0 maps to 0.  The
-search's shapes share many keys at small n (45 among 35,744 calls at
-n = 4), none at n = 10: its 35,744 distinct n = 10 keys (t_max = 25) flood
-the memo, so a run makes 38,291 misses against 36,826 distinct keys: 1,465
-n = 6 keys swept again.  A test that patches _BLOCK must clear the memo
-(_sweep_permutes.cache_clear()), or its sweep may be answered from it.
+monomials_permute remembers its verdicts in bounded LRU memos of
+_MEMO_SIZE entries, one per field degree, keyed by the reduced exponent
+tuple.  The key is exact: on nonzero x, x^e depends only on e mod 2^n - 1,
+equal terms cancel in pairs, and every exponent is at least 1, so 0 maps
+to 0.  The search's shapes share many keys at small n (45 distinct among
+35,744 calls at n = 4, 1,037 at n = 6), none at n = 10, whose 35,744
+distinct keys now evict only each other: a run makes 36,826 misses, one
+per distinct key.  A test that patches _BLOCK or _WHOLE must clear the
+memo (_sweep_permutes.cache_clear()), or its sweep may be answered from it.
 
 Branch points are reported as images of critical points found among the
 field points plus infinity.  A ramification scan evaluates N, D and
@@ -44,6 +47,7 @@ reported as such.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -113,7 +117,10 @@ def _check_owner(ctx: FieldCtx, point: ProjPoint) -> None:
 
 # Discrete logs per sweep block: every field with n <= 16 is one block.
 _BLOCK = _CHUNK
-# Distinct (n, reduced exponents) verdicts monomials_permute remembers.
+# One-block fields with fewer nonzero points sum whole-group columns (no
+# growth); the columns of at most this many entries are cached.
+_WHOLE = 1 << 10
+# Distinct reduced exponent tuples monomials_permute remembers per field degree.
 _MEMO_SIZE = 1024
 # Points per slice of a circle or ramification scan: temporaries stay in cache.
 _SLICE = _CHUNK // 4
@@ -123,31 +130,75 @@ def _reduced_exponents(order: int, exponents) -> tuple[int, ...]:
     """Residues mod the group order that occur an odd number of times, sorted.
 
     On nonzero x, x^e depends only on e mod the order, and equal terms
-    cancel in characteristic 2.
+    cancel in characteristic 2.  Every exponent must be positive.
     """
     odd: set[int] = set()
     for e in exponents:
-        odd ^= {e % order}
+        if e < 1:
+            raise ValueError("exponents must be positive")
+        r = e % order
+        if r in odd:
+            odd.remove(r)
+        else:
+            odd.add(r)
     return tuple(sorted(odd))
 
 
-@functools.lru_cache(maxsize=64)
-def _column(n: int, e: int):
-    """(g^k)^e for k = 0 .. 2^n - 2 as a read-only uint16 array (one-block fields)."""
+def _log_multiples(n: int, count: int, step: int):
+    """k step mod 2^n - 1 plus 0 to 2 orders for k < count (step < 2^n), as
+    an intp array: k step < 2^(2n) is folded once, as 2^n = 1 mod 2^n - 1."""
     import numpy as np
 
-    order = (1 << n) - 1
-    if e == 1:
-        col = make_field(n).exp_array().astype(np.uint16)
-    else:
-        idx = np.arange(order, dtype=np.intp)
-        idx *= e
-        low = idx & order
-        idx >>= n
-        idx += low  # k e < 2^(2n), 2^n = 1 mod order: k e mod order plus 0 to 2 orders
-        col = np.take(_column(n, 1), idx, mode="wrap")
+    idx = np.arange(count, dtype=np.intp)
+    idx *= step
+    low = idx & (1 << n) - 1
+    idx >>= n
+    idx += low
+    return idx
+
+
+@functools.lru_cache(maxsize=64)
+def _column(n: int, e: int, span: int):
+    """(g^k)^e for k < span as a read-only int64 array (one-block fields)."""
+    col = make_field(n).exp_array().take(_log_multiples(n, span, e), mode="wrap")
     col.flags.writeable = False
     return col
+
+
+def _one_block_sum(ctx: FieldCtx, exps):
+    """The xor of (g^k)^e over the reduced exponents at k = 0 .. order - 1
+    (order <= _BLOCK) as an int64 array; callers must not write to it.
+
+    Below _WHOLE nonzero points the columns span the whole group.
+    Otherwise they span one period P = order / gcd(order, e_i - e_0), and
+    the sum is grown by f(g^(k+P)) = g^(P e_0) f(g^k) through the log and
+    antilog tables, zeros staying zero; the last sum, at g^-1, must equal
+    its scalar value.
+    """
+    import numpy as np
+
+    order = ctx.order
+    if not exps:
+        return np.zeros(order, dtype=np.int64)
+    span = order if order < _WHOLE else order // math.gcd(order, *(e - exps[0] for e in exps))
+    column = _column if span <= _WHOLE else _column.__wrapped__  # cache short columns only
+    head = column(ctx.n, exps[0], span)
+    for e in exps[1:]:
+        head = head ^ column(ctx.n, e, span)
+    if span == order:
+        return head
+    g, log = ctx.generator(), ctx.log_array()
+    # row j is the head times c^j, c = g^(P e_0) the growth constant: its
+    # logs lie below 4 orders, which the wrapping take reduces
+    step = int(log[ctx.pow(g, span * exps[0])])
+    logs = np.add.outer(_log_multiples(ctx.n, order // span, step), log[head])
+    values = ctx.exp_array().take(logs.reshape(-1), mode="wrap")
+    if not head.all():
+        values.reshape(-1, span)[:, head == 0] = 0
+    want = functools.reduce(int.__xor__, (ctx.pow(g, -e) for e in exps), 0)
+    if int(values[-1]) != want:
+        raise AssertionError("sweep closure mismatch")
+    return values
 
 
 def _power_sum_blocks(ctx: FieldCtx, exps, *, points: bool = True):
@@ -157,22 +208,19 @@ def _power_sum_blocks(ctx: FieldCtx, exps, *, points: bool = True):
     pair is valid only until the next block is requested: a larger field
     reuses buffers allocated once per sweep.
 
-    A one-block field xors cached columns.  A larger field sums the columns
-    (g^k)^e per step constant g^(B e) and advances each sum (and the points)
-    by one multiply per block of B logs.  B is the largest multiple of P =
-    order / gcd(order, e_i - e_0) up to _BLOCK (else _BLOCK), so a sum is
-    built at its first min(P, B) logs and grown by f(g^(k+P)) = g^(P e) f(g^k).
-    g must pass the prime-factor order test, and the last sum, at g^-1,
-    must equal its scalar value.
+    A one-block field is _one_block_sum beside the antilog table.  A larger
+    field sums the columns (g^k)^e per step constant g^(B e) and advances
+    each sum (and the points) by one multiply per block of B logs.  B is the
+    largest multiple of P = order / gcd(order, e_i - e_0) up to _BLOCK (else
+    _BLOCK), so a sum is built at its first min(P, B) logs and grown by
+    f(g^(k+P)) = g^(P e) f(g^k).  g must pass the prime-factor order test,
+    and the last sum, at g^-1, must equal its scalar value.
     """
     import numpy as np
 
     order = ctx.order
     if order <= _BLOCK:
-        values = _column(ctx.n, exps[0]).copy() if exps else np.zeros(order, dtype=np.uint16)
-        for e in exps[1:]:
-            values ^= _column(ctx.n, e)
-        yield (_column(ctx.n, 1) if points else None), values
+        yield (ctx.exp_array() if points else None), _one_block_sum(ctx, exps)
         return
     g, groups = ctx.generator(), {}
     if any(ctx.pow(g, order // p) == 1 for p in prime_factors(order)):
@@ -224,23 +272,48 @@ def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     """
     if not 1 <= n <= cap:
         raise ValueError(f"field degree {n} outside 1 .. {cap} (the brute cap)")
-    exps = tuple(exponents)
-    if exps and min(exps) < 1:
-        raise ValueError("exponents must be positive")
-    return _sweep_permutes(n, _reduced_exponents((1 << n) - 1, exps))
+    return _sweep_permutes(n, _reduced_exponents((1 << n) - 1, exponents))
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _sweep_permutes(n: int, exps: tuple[int, ...]) -> bool:
-    """The sweep behind monomials_permute: nonzero elements block by block
-    in discrete-log order, hits marked in a bitmap of size 2^n."""
+_MemoInfo = collections.namedtuple("_MemoInfo", "hits misses maxsize currsize")
+
+
+class _VerdictMemo(dict):
+    """One bounded LRU of _MEMO_SIZE verdicts per field degree n, so the keys
+    of one degree never evict another's; cache_info sums over degrees."""
+
+    def __missing__(self, n: int):
+        memo = self[n] = functools.lru_cache(_MEMO_SIZE)(functools.partial(_sweep, n))
+        return memo
+
+    def __call__(self, n: int, exps: tuple[int, ...]) -> bool:
+        return self[n](exps)
+
+    cache_clear = dict.clear
+
+    def cache_info(self):
+        infos = [memo.cache_info() for memo in self.values()]
+        hits, misses, _, size = (sum(column) for column in zip((0,) * 4, *infos))
+        return _MemoInfo(hits, misses, _MEMO_SIZE, size)
+
+
+def _sweep(n: int, exps: tuple[int, ...]) -> bool:
+    """The sweep behind monomials_permute: a one-block field counts its
+    values (np.bincount); a larger one marks hits block by block in
+    discrete-log order in a bitmap of size 2^n."""
     import numpy as np
 
     ctx = make_field(n)
+    if ctx.order <= _BLOCK:
+        counts = np.bincount(_one_block_sum(ctx, exps), minlength=1 << n)
+        return bool(counts[0] == 0 and counts.max() == 1)
     bitmap = np.zeros(1 << n, dtype=bool)
     for _, values in _power_sum_blocks(ctx, exps, points=False):
-        bitmap[values.astype(np.intp, copy=False)] = True
+        bitmap[values] = True
     return bool(not bitmap[0] and np.count_nonzero(bitmap) == ctx.order)
+
+
+_sweep_permutes = _VerdictMemo()
 
 
 def table_permutes(table) -> bool:

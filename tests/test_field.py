@@ -1,5 +1,7 @@
 """Unit tests for the deterministic field contexts."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -323,6 +325,13 @@ def test_exp_array_is_the_generator_walk(n, rng):
     hits = np.zeros(1 << n, dtype=bool)
     hits[table] = True
     assert not hits[0] and int(hits.sum()) == ctx.order
+    # up to n = 16 the log table inverts it; larger contexts keep none
+    if n <= 16:
+        log = ctx.log_array()
+        assert log.dtype == np.uint16 and np.array_equal(log[table], np.arange(ctx.order))
+    else:
+        with pytest.raises(ValueError, match="no log table"):
+            ctx.log_array()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 17, 24, 33, N_CAP])
@@ -507,6 +516,8 @@ def test_every_call_form_is_the_xor_of_basis_images(case, extra):
     assert lin.apply(arr, out=buf) is buf and buf.tolist() == want
     buf[:] = -1
     assert lin.apply(arr, out=buf, scratch=scratch) is buf and buf.tolist() == want
+    # a pickled copy of a map whose scalar views exist rebuilds its tables
+    assert [pickle.loads(pickle.dumps(lin))(x) for x in xs] == want
 
 
 @given(case=linear_maps(max_n=12))

@@ -2,6 +2,8 @@
 ramification, and the degree-one-map classification procedures."""
 
 import contextlib
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -44,12 +46,13 @@ BLOCKS = [oracle._BLOCK, 5]
 
 
 @contextlib.contextmanager
-def sweep_block(block):
-    """Sweep in blocks of the given size, with the verdict memo cleared on
-    entry and exit, so that no verdict of another block size answers."""
+def sweep_block(block, whole=oracle._WHOLE):
+    """Sweep in blocks of the given size, one-block fields growing their sums
+    from one period at `whole` nonzero points and above, with the verdict
+    memo cleared on entry and exit, so that no verdict of another route answers."""
     oracle._sweep_permutes.cache_clear()
     try:
-        with mock.patch.object(oracle, "_BLOCK", block):
+        with mock.patch.object(oracle, "_BLOCK", block), mock.patch.object(oracle, "_WHOLE", whole):
             yield
     finally:
         oracle._sweep_permutes.cache_clear()
@@ -119,17 +122,27 @@ def permutes_by_enumeration(n, exps):
     return len(images) == 1 << n
 
 
-@pytest.mark.parametrize("block", BLOCKS)
-@settings(deadline=None)
-@given(case=field_and_exponents())
-def test_monomials_permute_equals_enumeration(block, case):
-    n, exps = case
+def assert_verdict_is_enumeration(n, exps, **bounds):
     want = permutes_by_enumeration(n, exps)
-    with sweep_block(block):
+    with sweep_block(**bounds):
         assert monomials_permute(n, exps) == want
         assert oracle._sweep_permutes.cache_info().misses == 1  # swept, not recalled
         # the same verdict read off the bit-order table (equiv's route)
         assert oracle.table_permutes(oracle._power_sum_array(make_field(n), exps)) == want
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@settings(deadline=None)
+@given(case=field_and_exponents())
+def test_monomials_permute_equals_enumeration(block, case):
+    assert_verdict_is_enumeration(*case, block=block)
+
+
+@settings(deadline=None)
+@given(case=field_and_exponents())
+def test_monomials_permute_equals_enumeration_when_grown(case):
+    # every one-block field sums columns over one period and grows the sum from it
+    assert_verdict_is_enumeration(*case, block=oracle._BLOCK, whole=1)
 
 
 @settings(deadline=None, max_examples=50)
@@ -156,6 +169,19 @@ def test_lists_with_one_memo_key_share_one_verdict(n, data):
 
 def test_verdict_memo_is_bounded():
     assert oracle._sweep_permutes.cache_info().maxsize == oracle._MEMO_SIZE is not None
+
+
+def test_verdict_memo_is_per_degree():
+    # more distinct n = 6 keys than one memo holds do not evict an n = 4 verdict
+    oracle._sweep_permutes.cache_clear()
+    monomials_permute(4, [1])
+    pairs = itertools.islice(itertools.combinations(range(1, 63), 2), oracle._MEMO_SIZE + 1)
+    for pair in pairs:
+        monomials_permute(6, pair)
+    misses = oracle._sweep_permutes.cache_info().misses
+    assert misses == oracle._MEMO_SIZE + 2
+    monomials_permute(4, [1])
+    assert oracle._sweep_permutes.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("verdict", [
@@ -368,15 +394,60 @@ def test_verdict_sweep_refuses_a_wrong_sum_step(monkeypatch):
         monomials_permute(18, exps)
 
 
-@pytest.mark.parametrize("e", [0, 1, (1 << 16) - 2, 12345])
-def test_one_block_column_at_seeded_logs(e, rng):
-    # order - 1 = 2^16 - 2 is the largest exponent: k e reaches (2^16 - 2)^2,
-    # just below 2^32
+def grown_cases(n, rng):
+    """Exponent lists at n: seeded ones whose differences are multiples of
+    order / p, p the least prime factor of order = 2^n - 1, so that their
+    period P divides p (P < order unless order is prime, as at n = 13), the
+    first two terms of it (zero at every x = g^(jP)), one exponent (P = 1;
+    order - 1 takes the largest products k e), x + x^2 (P = order, zero at
+    x = 1), the empty list, and at even n a family member (P = q + 1)."""
+    order = (1 << n) - 1
+    p = min(p for p in range(2, order + 1) if order % p == 0)
+    t = rng.randrange(1, order)
+    shared = [t + rng.randrange(1, 100) * (order // p) for _ in range(4)]
+    cases = [shared, shared[:2], [t], [order - 1], [1, 2], []]
+    if n % 2 == 0:
+        cases.append(list(f_exponents(FamilySpec("B", 5, 6), n // 2)))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(11, 17))
+def test_one_block_sum_at_seeded_logs(n, rng):
+    ctx = make_field(n)
+    g, order = ctx.generator(), ctx.order
+    for exps in grown_cases(n, rng):
+        exps = oracle._reduced_exponents(order, exps)
+        values = oracle._one_block_sum(ctx, exps)
+        assert values.dtype == np.int64 and len(values) == order
+        period = order // math.gcd(order, *(e - exps[0] for e in exps)) if exps else 1
+        for k in [0, 1, period, order - 1] + [rng.randrange(order) for _ in range(200)]:
+            want = 0
+            for e in exps:
+                want ^= ctx.pow(ctx.pow(g, k), e)
+            assert int(values[k % order]) == want
+
+
+def test_one_block_sweep_refuses_a_wrong_growth_step(monkeypatch):
+    # the growth constant g^(P e_0), P = q + 1 = 257, replaced by g^(P e_0 + 1):
+    # every row after the first is off, and so is the last sum
     ctx = make_field(16)
-    g, col = ctx.generator(), oracle._column(16, e)
-    assert col.dtype == np.uint16 and len(col) == ctx.order and not col.flags.writeable
-    for k in [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(300)]:
-        assert int(col[k]) == ctx.pow(ctx.pow(g, k), e)
+    g = ctx.generator()
+    exps = oracle._reduced_exponents(ctx.order, f_exponents(FamilySpec("B", 5, 6), 8))
+    power = FieldCtx.pow
+    monkeypatch.setattr(FieldCtx, "pow", lambda self, a, e: power(
+        self, a, e + (self is ctx and a == g and e == 257 * exps[0])))
+    with sweep_block(oracle._BLOCK), pytest.raises(AssertionError, match="sweep closure mismatch"):
+        monomials_permute(16, exps)
+
+
+def test_brute_equals_theorem_on_every_cli_spec():
+    # the 432 (class, i, j <= 12) specs the CLI accepts at m = 1..8: whole-group
+    # columns up to n = 10, sums grown from one period at n = 12..16
+    with sweep_block(oracle._BLOCK):
+        cells = [(spec, m) for m in range(1, 9) for spec in all_specs(12)]
+        mismatches = [(spec, m) for spec, m in cells
+                      if brute_is_permutation(spec, m) != theorem_verdict(spec, m).predicted]
+    assert len(cells) == 3456 and not mismatches, mismatches[:10]
 
 
 def test_multi_block_sweep_with_a_block_the_period_divides():
