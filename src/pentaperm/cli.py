@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import equivalence, families, oracle, search, theory
 from .families import FamilySpec, match_row, registry_as_json, table1_registry
-from .field import make_field
+from .field import LOG_TABLE_MAX_N, make_field
 
 ENV_PREFIX = "PENTAPERM_"
 CONFIG_KEYS = ("brute_cap", "workers", "format", "out")
@@ -313,8 +313,9 @@ def cmd_rvalues(args, cfg: RunConfig) -> Report:
 
 def cmd_gcheck(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
-    if args.m > 8:
-        _usage_error("ramification reports sweep the whole field; m <= 8 only")
+    m_max = LOG_TABLE_MAX_N // 2  # the scan divides through the log table
+    if args.m > m_max:
+        _usage_error(f"ramification reports sweep the whole field; m <= {m_max} only")
     ctx = make_field(2 * args.m, args.m)
     permutes = oracle.g_permutes_unit_circle(spec, args.m)
     report = oracle.ramification_report(spec, ctx)

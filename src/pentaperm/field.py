@@ -17,10 +17,6 @@ linearized binomials a x + b x^q (FieldCtx.linearized) are all instances.
 Gaussian elimination on the image bit masks gives a map's rank, its first
 dependent basis bit, and a preimage of any point in its image.
 
-Arrays of elements multiply by shift-and-add over the n bits of one
-operand (FieldCtx.mul_array) and invert by Itoh-Tsujii through the norm to
-the subfield GF(2^d), d the largest proper divisor of n (inv_array).
-
 Every list of powers of one element comes from FieldCtx.powers, which
 doubles a numpy array by multiplying its first half by a constant (the
 same constant multiply advances oracle's sweep blocks).  The antilog
@@ -28,13 +24,13 @@ table, the unit circle and the subfield's multiplicative group are
 cyclic subgroups from FieldCtx._subgroup, which checks their generator's
 order.  For n <= 16 a context also keeps the antilog table, and the log
 table derived from it, as Python lists for scalar multiplication, and the
-log table as a uint16 array (log_array) for oracle's sweeps; larger
-fields multiply via carryless word products and the fold map.
+log table as a uint16 array (log_array) for oracle's sweeps and scans,
+which multiply and divide arrays of elements by adding and subtracting
+their logs; larger fields multiply via carryless word products and the
+fold map.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .gf2poly import BinPoly, _clmul_word
 from .intarith import factorize, prime_factors
@@ -58,9 +54,10 @@ __all__ = [
 
 N_CAP = 40
 LOG_TABLE_MAX_N = 16
-# Entries per numpy temporary in whole-field loops: a slice of FieldCtx.mul_array
-# or of a doubling step in FieldCtx.powers, a sweep block in oracle.  oracle
-# caches the columns of one-block fields as uint16, so this is at most 1 << 16.
+# Entries per numpy temporary in whole-field loops: a slice of a doubling step
+# in FieldCtx.powers, a sweep block in oracle.  A field with at most _CHUNK
+# nonzero points is one oracle block and reads the log table, which only
+# n <= LOG_TABLE_MAX_N keeps, so this is at most 1 << LOG_TABLE_MAX_N.
 _CHUNK = 1 << 16
 _APPLY_BITS = 12  # input bits per LinearMap table: 32 KB, about one L1d
 
@@ -301,45 +298,6 @@ class FieldCtx:
             done += size
         return out
 
-    def mul_array(self, a, b):
-        """Elementwise product of 1-d integer arrays, as int64, in _CHUNK slices:
-        a is doubled and reduced at each of the n bits of b, so it stays < 2^41."""
-        import numpy as np
-
-        out = np.zeros(len(a), dtype=np.int64)
-        for lo in range(0, len(a), _CHUNK):
-            x, y = a[lo:lo + _CHUNK].astype(np.int64), b[lo:lo + _CHUNK]
-            acc = out[lo:lo + _CHUNK]  # a view: the steps accumulate into out
-            for k in range(self.n):
-                acc ^= x & -(y >> k & 1)
-                x <<= 1
-                x ^= (x >> self.n) * self.modulus
-        return out
-
-    def inv_array(self, a):
-        """Elementwise inverse (0 -> 0) as int64, in _CHUNK slices: for n = d k,
-        a^-1 = a^(r-1) N^-1 with r = (2^n - 1)/(2^d - 1), the norm N = a^r inverted
-        in GF(2^d)* (prime n: d = 1, N = 1), and a^(r-1) = beta_(k-1)^(2^d), where
-        beta_j = a^((2^(dj) - 1)/(2^d - 1)) walks the bits of k - 1:
-        beta_2j = beta_j^(2^(dj)) beta_j, beta_(j+1) = beta_j^(2^d) a."""
-        import numpy as np
-
-        d = self.n // min(prime_factors(self.n), default=1)
-        norm_inverse = _subfield_inverse(self, d)  # before out: less heap churn
-        out = np.empty(len(a), dtype=np.int64)
-        for lo in range(0, len(a), _CHUNK):
-            x = a[lo:lo + _CHUNK]
-            beta, j = x, 1
-            for bit in bin(self.n // d - 1)[3:]:
-                beta = self.mul_array(self._squarings(d * j).apply(beta), beta)
-                j *= 2
-                if bit == "1":
-                    beta = self.mul_array(self._squarings(d).apply(beta), x)
-                    j += 1
-            beta = self._squarings(d).apply(beta)
-            out[lo:lo + _CHUNK] = self.mul_array(beta, norm_inverse(self.mul_array(x, beta)))
-        return out
-
     # -- GF(2)-linear maps ---------------------------------------------------
 
     def _times(self, c: int) -> "LinearMap":
@@ -490,27 +448,6 @@ class FieldElem:
 
     def __repr__(self):
         return self.hex()
-
-
-@functools.lru_cache(maxsize=1)
-def _subfield_inverse(ctx: FieldCtx, d: int):
-    """x -> x^-1 on arrays of elements of GF(2^d)* inside ctx, by log lookup
-    (one per process).  Its tables are the cyclic table [h^0, ..., h^(s-1)]
-    and the keys value << d | log, sorted (< 2^60, as n <= 40)."""
-    import numpy as np
-
-    table = ctx._subgroup((1 << d) - 1)
-    keys = table << d
-    keys |= np.arange(len(table))
-    keys.sort()
-
-    def inverse(x):
-        # every nonzero x must be found; 0 (the norm of a = 0) gets 1
-        key = keys[np.minimum(np.searchsorted(keys, x << d), len(keys) - 1)]
-        if not np.array_equal(key >> d == x, x != 0):
-            raise AssertionError("norm missing from the subfield table")
-        return table[-(key & len(table)) % len(table)]
-    return inverse
 
 
 _CTX_CACHE: dict[int, FieldCtx] = {}

@@ -36,8 +36,10 @@ memo (_sweep_permutes.cache_clear()), or its sweep may be answered from it.
 
 Branch points are reported as images of critical points found among the
 field points plus infinity.  A ramification scan evaluates N, D and
-their Hasse derivatives at every nonzero point as arrays, and keeps the
-last table of images and indices; the branch points, fibers, profile and
+their Hasse derivatives at every nonzero point as arrays, divides and
+multiplies them by adding logs (so it needs the log table, n <= 16),
+checks its row at g^-1 against scalar evaluation, and keeps the last
+table of images and indices; the branch points, fibers, profile and
 report of one map are filters over it.  The underlying definitions live
 over the algebraic closure; for the maps in scope every critical point
 lies in F_4, a subfield of every GF(2^(2m)), so the scan sees them all.
@@ -574,23 +576,40 @@ def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
     """(images, indices, critical): int64 arrays over the field points in
     bit order plus row 2^n for infinity (an image of 2^n is infinity), and
     (point, image, index) at each critical row.  Hasse order k is evaluated
-    in discrete-log order, only where every order below it vanished."""
+    in discrete-log order, only where every order below it vanished.
+
+    Products and quotients go through the log tables (n <= 16): g = N/D is
+    exp[log N - log D] and g (D^k D) is exp[log g + log D^k D], one wrapping
+    take each.  As log 0 = 0 = log 1, a zero N gives g = 0 and a zero
+    factor a zero product by mask; a zero D is a pole row.  The row at the
+    last log, x = g^-1, must equal its scalar image and index."""
     import numpy as np
 
-    size, exp = 1 << ctx.n, ctx.exp_array()
+    size, log = 1 << ctx.n, ctx.log_array()  # refuses n > 16 before the antilog table
+    exp = ctx.exp_array()
     num, den = (np.array(p.exponents(), dtype=np.int64) for p in (g.reduced_num, g.reduced_den))
     todo = np.arange(len(exp))
-    dvals = _sparse_values(exp, todo, den)
-    values = ctx.mul_array(_sparse_values(exp, todo, num), ctx.inv_array(dvals))
+    nvals, dvals = _sparse_values(exp, todo, num), _sparse_values(exp, todo, den)
+    logs = log[nvals].astype(np.int64)  # int64: uint16 differences would wrap
+    logs -= log[dvals]
+    values = exp.take(logs, mode="wrap")
+    values[nvals == 0] = 0
     images = np.empty(size + 1, dtype=np.int64)
     images[exp] = np.where(dvals == 0, size, values)
     indices = np.zeros(size + 1, dtype=np.int64)
     for k in range(1, g.degree + 1):
         dk = _sparse_values(exp, todo, _hasse(den, k))
-        nk = _sparse_values(exp, todo, _hasse(num, k)) ^ ctx.mul_array(values[todo], dk)
+        product = exp.take(logs[todo] + log[dk], mode="wrap")
+        product[(values[todo] == 0) | (dk == 0)] = 0
+        nk = _sparse_values(exp, todo, _hasse(num, k)) ^ product
         residual = np.where(dvals[todo] == 0, dk, nk)
         indices[exp[todo[residual != 0]]] = k
         todo = todo[residual == 0]
+    last = int(exp[-1])
+    image = g.eval_bits(ctx, last)
+    if (int(images[last]), int(indices[last])) != (
+            size if image is INFINITY else image, ramification_index(g, ctx.elem(last), ctx)):
+        raise AssertionError("ramification closure mismatch")
     for row, point in ((0, ctx.zero()), (size, INFINITY)):
         image = g.eval(ctx, point)
         images[row] = size if image is INFINITY else image.bits

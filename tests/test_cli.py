@@ -230,6 +230,25 @@ def test_gcheck_rejects_large_m():
     assert err.value.code == 2
 
 
+def test_gcheck_bound_is_the_log_table_bound(capsys):
+    # gcheck refuses the first m whose field keeps no log table, and the scan
+    # itself refuses that field before it builds the antilog table
+    from pentaperm import oracle
+    from pentaperm.families import FamilySpec
+    from pentaperm.field import LOG_TABLE_MAX_N, FieldCtx, canonical_modulus
+
+    m = LOG_TABLE_MAX_N // 2 + 1
+    with pytest.raises(SystemExit) as err:
+        main(["gcheck", "--class", "B", "--i", "5", "--j", "6", "--m", str(m)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: ramification reports sweep the whole field; m <= 8 only\n")
+    ctx = FieldCtx(2 * m, canonical_modulus(2 * m))
+    with pytest.raises(ValueError, match=f"no log table at n = {2 * m}"):
+        oracle.ramification_report(FamilySpec("B", 5, 6), ctx)
+    assert ctx._exp_np is None
+
+
 def test_brute_cap_exceeded_is_usage_error(capsys):
     code = main(["check", "--class", "A", "--i", "1", "--j", "1",
                  "--m", "13", "--brute"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import inv_array, mul_array, subfield_inverse
 from pentaperm import field
 from pentaperm.field import (
     CANONICAL_MODULUS,
@@ -384,6 +385,9 @@ def test_unit_circle_refuses_a_non_generator(monkeypatch):
 
 # -- array multiply and inverse -------------------------------------------------
 
+# The shift-and-add multiply and Itoh-Tsujii inverse in conftest are the
+# references of oracle's log-table scans; these tests check them.
+
 # n = 16/17 straddle the log-table threshold of the scalar reference
 ARRAY_DEGREES = st.sampled_from([1, 16, 17, 40]) | st.integers(1, 40)
 
@@ -411,14 +415,14 @@ def test_mul_array_is_field_multiplication(n, data):
     pairs = [(0, 0), (0, ctx.order), (ctx.order, 1)] + data.draw(
         st.lists(st.tuples(element, element), max_size=20))
     a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-    assert ctx.mul_array(a, b).tolist() == [ctx.mul(x, y) for x, y in pairs]
+    assert mul_array(ctx, a, b).tolist() == [ctx.mul(x, y) for x, y in pairs]
 
 
 @given(n=ARRAY_DEGREES, data=st.data())
 def test_inv_array_is_field_inversion(n, data):
     ctx = make_field(n)
     xs = [0, 1, ctx.order] + data.draw(st.lists(st.integers(1, ctx.order), max_size=20))
-    got = ctx.inv_array(np.array(xs, dtype=np.int64)).tolist()
+    got = inv_array(ctx, np.array(xs, dtype=np.int64)).tolist()
     assert got == [0] + [ctx.inv(x) for x in xs[1:]]
 
 
@@ -427,13 +431,13 @@ def test_array_multiply_and_inverse_in_slices_of_5(n, rng, monkeypatch):
     # 23 entries make four full slices and a partial one; the subfield table
     # is built first at the usual slice size (GF(2^20)* in slices of 5 is slow)
     ctx = make_field(n)
-    ctx.inv_array(np.ones(1, dtype=np.int64))
+    inv_array(ctx, np.ones(1, dtype=np.int64))
     monkeypatch.setattr(field, "_CHUNK", 5)
     xs = [0, 1, ctx.order] + [rng.randrange(1, 1 << n) for _ in range(20)]
     ys = [rng.randrange(1 << n) for _ in xs]
     a, b = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    assert ctx.mul_array(a, b).tolist() == [ctx.mul(x, y) for x, y in zip(xs, ys)]
-    assert ctx.inv_array(a).tolist() == [0] + [ctx.inv(x) for x in xs[1:]]
+    assert mul_array(ctx, a, b).tolist() == [ctx.mul(x, y) for x, y in zip(xs, ys)]
+    assert inv_array(ctx, a).tolist() == [0] + [ctx.inv(x) for x in xs[1:]]
 
 
 @pytest.mark.parametrize("n", range(1, N_CAP + 1))
@@ -443,7 +447,7 @@ def test_inv_array_equals_scalar_inverse_at_every_degree(n, rng):
     ctx = make_field(n)
     xs = list(range(1 << n)) if n <= 12 else (
         [0, 1, ctx.order] + [rng.randrange(1, 1 << n) for _ in range(300)])
-    got = ctx.inv_array(np.array(xs, dtype=np.int64)).tolist()
+    got = inv_array(ctx, np.array(xs, dtype=np.int64)).tolist()
     assert got == [0] + [ctx.inv(x) for x in xs[1:]]
 
 
@@ -454,12 +458,12 @@ def test_inv_array_refuses_a_norm_missing_from_the_subfield_table(monkeypatch):
     subgroup = FieldCtx._subgroup
     monkeypatch.setattr(FieldCtx, "_subgroup", lambda self, size: np.delete(
         subgroup(self, size), 5) if size == 63 else subgroup(self, size))
-    field._subfield_inverse.cache_clear()
+    subfield_inverse.cache_clear()
     try:
         with pytest.raises(AssertionError, match="norm missing from the subfield table"):
-            ctx.inv_array(np.arange(1 << 12))
+            inv_array(ctx, np.arange(1 << 12))
     finally:
-        field._subfield_inverse.cache_clear()
+        subfield_inverse.cache_clear()
 
 
 def test_subfield_table_refuses_a_non_generator(monkeypatch):
@@ -467,10 +471,10 @@ def test_subfield_table_refuses_a_non_generator(monkeypatch):
     # walk of 511 steps closes but revisits 1
     ctx = FieldCtx(18, canonical_modulus(18))
     not_generator = ctx.pow(make_field(18).generator(), 7)
-    field._subfield_inverse.cache_clear()
+    subfield_inverse.cache_clear()
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
     with pytest.raises(AssertionError, match="generator order mismatch"):
-        ctx.inv_array(np.arange(1, 8))
+        inv_array(ctx, np.arange(1, 8))
 
 
 # -- the GF(2)-linear-map kernel -----------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_specs, power_sum_table
+from conftest import all_specs, inv_array, mul_array, power_sum_table
 from pentaperm import field, oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
 from pentaperm.field import FieldCtx, FieldElem, make_field, omega, unit_circle
@@ -604,8 +604,8 @@ def g_permutes_unit_circle_by_inverse(spec, m):
     ztab = oracle._unit_circle_table(ctx)
     ks = np.arange(len(ztab), dtype=np.int64)
     hvals = oracle._sparse_values(ztab, ks, gmap.den.exponents())
-    values = ctx.mul_array(oracle._sparse_values(ztab, ks, gmap.num.exponents()),
-                           ctx.inv_array(hvals))
+    values = mul_array(ctx, oracle._sparse_values(ztab, ks, gmap.num.exponents()),
+                       inv_array(ctx, hvals))
     for k in np.flatnonzero(hvals == 0).tolist():
         red = gmap.eval_bits(ctx, int(ztab[k]))
         if red is INFINITY:
@@ -817,6 +817,9 @@ REFERENCE_MAPS = [
     RationalMap.make(BinPoly(0b1000), BinPoly(1)),  # x^3
     RationalMap.make(BinPoly(0b10), BinPoly(0b11)),  # x / (x + 1): degree one
     RationalMap.make(BinPoly(0b10), BinPoly(0b1111)),  # x / (x + 1)^3: triple pole at 1
+    # x (x^2 + x + 1)^2 / (x^4 + x + 1): N has double roots at omega and
+    # omega^2 (g = 0 there, index 2), D its roots in GF(16)* \ F_4
+    RationalMap.make(BinPoly(0b101010), BinPoly(0b10011)),
 ]
 
 
@@ -831,6 +834,68 @@ def test_ramification_table_and_index_equal_synthetic_division(m):
         images, indices, _ = oracle._ramification_table(g, ctx)
         assert list(zip(images.tolist(), indices.tolist())) == want
         assert [ramification_index(g, p, ctx) for p in points] == [e for _, e in want]
+
+
+def ramification_table_by_inverse(g, ctx):
+    """(images, indices, critical) as _ramification_table, with g = N D^-1
+    by one array inverse and one array multiply, and each product
+    g (D^k D) by one array multiply."""
+    size, exp = 1 << ctx.n, ctx.exp_array()
+    num, den = (np.array(p.exponents(), dtype=np.int64) for p in (g.reduced_num, g.reduced_den))
+    todo = np.arange(len(exp))
+    dvals = oracle._sparse_values(exp, todo, den)
+    values = mul_array(ctx, oracle._sparse_values(exp, todo, num), inv_array(ctx, dvals))
+    images = np.empty(size + 1, dtype=np.int64)
+    images[exp] = np.where(dvals == 0, size, values)
+    indices = np.zeros(size + 1, dtype=np.int64)
+    for k in range(1, g.degree + 1):
+        dk = oracle._sparse_values(exp, todo, oracle._hasse(den, k))
+        nk = oracle._sparse_values(exp, todo, oracle._hasse(num, k)) ^ mul_array(ctx, values[todo], dk)
+        residual = np.where(dvals[todo] == 0, dk, nk)
+        indices[exp[todo[residual != 0]]] = k
+        todo = todo[residual == 0]
+    for row, point in ((0, ctx.zero()), (size, INFINITY)):
+        image = g.eval(ctx, point)
+        images[row] = size if image is INFINITY else image.bits
+        indices[row] = ramification_index(g, point, ctx)
+    rows = np.flatnonzero(indices > 1).tolist()
+    proj = [INFINITY if c == size else ctx.elem(c) for c in rows + images[rows].tolist()]
+    critical = tuple(zip(proj[:len(rows)], proj[len(rows):], indices[rows].tolist()))
+    return images, indices, critical
+
+
+@pytest.mark.parametrize("m", range(6, 9))
+def test_ramification_table_equals_inverse_reference(m):
+    # the log-table scan against array inverse and multiply: every point's
+    # image and index, and the critical rows in bit order
+    ctx = make_field(2 * m, m)
+    for g in [g_map(spec) for spec in all_specs(3)] + REFERENCE_MAPS:
+        images, indices, critical = oracle._ramification_table(g, ctx)
+        want_images, want_indices, want_critical = ramification_table_by_inverse(g, ctx)
+        assert images.tolist() == want_images.tolist()
+        assert indices.tolist() == want_indices.tolist()
+        assert critical == want_critical
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_ramification_table_refuses_a_tampered_log_table(m, monkeypatch):
+    # swap the logs of N(g^-1) and one other element on a fresh context:
+    # the scan's last row, at x = g^-1, then differs from its scalar value
+    g = REFERENCE_MAPS[-1]
+    ctx = FieldCtx(2 * m, make_field(2 * m).modulus)
+    last = int(ctx.exp_array()[-1])
+    nv = ctx.eval_poly_bits(g.reduced_num.bits, last)
+    other = next(b for b in range(2, 1 << ctx.n)
+                 if b not in (nv, ctx.eval_poly_bits(g.reduced_den.bits, last)))
+    log = ctx.log_array().copy()
+    log[[nv, other]] = log[[other, nv]]
+    monkeypatch.setattr(ctx, "_log_np", log)
+    oracle._ramification_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="ramification closure mismatch"):
+            oracle._ramification_table(g, ctx)
+    finally:
+        oracle._ramification_table.cache_clear()
 
 
 def _hex(point):
