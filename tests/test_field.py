@@ -386,7 +386,8 @@ def test_unit_circle_refuses_a_non_generator(monkeypatch):
 # -- array multiply and inverse -------------------------------------------------
 
 # The shift-and-add multiply and Itoh-Tsujii inverse in conftest are the
-# references of oracle's log-table scans; these tests check them.
+# references of oracle's ramification scan (which divides through the log
+# tables) and of its circle kernel (polar form); these tests check them.
 
 # n = 16/17 straddle the log-table threshold of the scalar reference
 ARRAY_DEGREES = st.sampled_from([1, 16, 17, 40]) | st.integers(1, 40)
