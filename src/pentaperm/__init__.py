@@ -21,21 +21,13 @@ from .families import (
 from .field import (
     FieldCtx,
     FieldElem,
-    elem_inv,
-    elem_mul,
-    elem_pow,
-    frobenius_q,
-    in_base_field,
     make_field,
-    mult_order,
     omega,
-    unit_circle,
 )
 from .gf2poly import (
     BinPoly,
     Q,
     poly_derivative,
-    poly_eval,
     poly_gcd,
     poly_mul,
     poly_reverse,

@@ -11,7 +11,8 @@ process parses with one cached parser (build_parser), which keeps no state.
 
 Configuration precedence is flags > environment (PENTAPERM_*) > config file
 (flat ``key = value`` lines) > defaults.  Exit codes: 0 all checks passed,
-1 a mathematical property or cross-validation failed, 2 usage error.
+1 a mathematical property or cross-validation failed, 2 usage error (an
+``--out`` file that cannot be written included).
 """
 
 from __future__ import annotations
@@ -45,18 +46,24 @@ class RunConfig:
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                _usage_error(f"config {path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                _usage_error(f"config {path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        _usage_error(f"config {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        _usage_error(f"config {path}: not UTF-8 text")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            _usage_error(f"config {path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            _usage_error(f"config {path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -81,6 +88,11 @@ def resolve_config(args) -> RunConfig:
         _usage_error(f"unknown format {cfg.format!r}")
     if not 1 <= cfg.brute_cap <= oracle.BRUTE_CAP:
         _usage_error(f"brute_cap must lie in [1, {oracle.BRUTE_CAP}], got {cfg.brute_cap}")
+    if cfg.workers < 1:
+        _usage_error("workers must be positive")  # search's own message
+    if cfg.out and (os.path.isdir(cfg.out)
+                    or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        _usage_error(f"out {cfg.out}: not a file in an existing directory")
     return cfg
 
 
@@ -492,8 +504,12 @@ def main(argv=None) -> int:
         return 2
     text = render(report, cfg.format)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: out {cfg.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return report.code

@@ -27,7 +27,6 @@ __all__ = [
     "f_exponent_pairs",
     "f_exponents",
     "eval_f",
-    "family_shape",
     "gcd_condition",
     "table1_registry",
     "match_row",
@@ -160,16 +159,6 @@ class GeneralPentanomial:
 def gcd_condition(p: GeneralPentanomial) -> bool:
     """The coprimality sieve: gcd(H, N) = 1 for the shape's pair."""
     return poly_gcd(p.h_poly(), p.n_poly()).bits == 1
-
-
-def family_shape(spec: FamilySpec) -> GeneralPentanomial | None:
-    """The family's search shape, or None when i = j cancellation leaves
-    fewer than five monomials (no strict r-tuple exists)."""
-    h = build_H(spec)
-    exps = [e for e in h.exponents() if e > 0]
-    if len(exps) != 4 or not h.bits & 1:
-        return None
-    return GeneralPentanomial(spec.t, tuple(sorted(exps)))
 
 
 @dataclass(frozen=True)

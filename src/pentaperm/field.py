@@ -20,7 +20,7 @@ dependent basis bit, and a preimage of any point in its image.
 Every list of powers of one element comes from FieldCtx.powers, which
 doubles a numpy array by multiplying its first half by a constant (the
 same constant multiply advances oracle's sweep blocks).  The antilog
-table, the unit circle and the subfield's multiplicative group are
+table, and oracle's unit circle and subfield multiplicative group, are
 cyclic subgroups from FieldCtx._subgroup, which checks their generator's
 order.  For n <= 16 a context also keeps the antilog table, and the log
 table derived from it, as Python lists for scalar multiplication, and the
@@ -33,7 +33,7 @@ fold map.
 from __future__ import annotations
 
 from .gf2poly import BinPoly, _clmul_word
-from .intarith import factorize, prime_factors
+from .intarith import prime_factors
 
 __all__ = [
     "N_CAP",
@@ -42,14 +42,7 @@ __all__ = [
     "FieldElem",
     "LinearMap",
     "make_field",
-    "elem_mul",
-    "elem_inv",
-    "elem_pow",
-    "frobenius_q",
     "omega",
-    "unit_circle",
-    "in_base_field",
-    "mult_order",
 ]
 
 N_CAP = 40
@@ -341,10 +334,6 @@ class FieldCtx:
     def one(self) -> "FieldElem":
         return FieldElem(self, 1)
 
-    def elements(self):
-        """All field elements in bit-ascending order."""
-        return (FieldElem(self, b) for b in range(1 << self.n))
-
     # -- internals ----------------------------------------------------------
 
     def _reduce(self, p: int) -> int:
@@ -457,8 +446,8 @@ def make_field(n: int, subfield_m: int | None = None) -> FieldCtx:
     """The context of GF(2^n) with the canonical modulus of degree n (cached).
 
     There is one context per degree.  At even n it carries the subfield
-    GF(2^(n/2)): the Frobenius x -> x^(2^(n/2)) and the unit circle, which
-    odd-degree contexts refuse.  subfield_m, if given, must equal n/2.
+    GF(2^(n/2)) and its Frobenius x -> x^(2^(n/2)), which odd-degree
+    contexts refuse.  subfield_m, if given, must equal n/2.
     """
     if not 1 <= n <= N_CAP:
         raise ValueError(f"extension degree {n} outside [1, {N_CAP}]")
@@ -470,26 +459,6 @@ def make_field(n: int, subfield_m: int | None = None) -> FieldCtx:
     return ctx
 
 
-def elem_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    """Field product; contexts must match."""
-    return a * b
-
-
-def elem_inv(a: FieldElem) -> FieldElem:
-    """Multiplicative inverse of a nonzero element."""
-    return a.inverse()
-
-
-def elem_pow(a: FieldElem, e: int) -> FieldElem:
-    """a^e with exponent reduced mod 2^n - 1 for a != 0; 0^0 = 1."""
-    return a ** e
-
-
-def frobenius_q(x: FieldElem) -> FieldElem:
-    """Conjugation x -> x^(2^m) over the subfield, by m repeated squarings."""
-    return FieldElem(x.ctx, x.ctx.frob_q(x.bits))
-
-
 def omega(ctx: FieldCtx) -> FieldElem:
     """The order-3 root of x^2 + x + 1 whose bit mask is smaller.
 
@@ -499,33 +468,3 @@ def omega(ctx: FieldCtx) -> FieldElem:
         raise ValueError("omega needs an even extension degree")
     w = ctx.pow(ctx.generator(), ctx.order // 3)
     return ctx.elem(min(w, ctx.sqr(w)))
-
-
-def unit_circle(ctx: FieldCtx) -> list[FieldElem]:
-    """All q+1 solutions of x^(q+1) = 1, in bit-ascending order."""
-    if ctx.subfield_m is None:
-        raise ValueError("unit circle needs subfield structure")
-    zs = sorted(ctx._subgroup((1 << ctx.subfield_m) + 1).tolist())
-    return [FieldElem(ctx, b) for b in zs]
-
-
-def in_base_field(x: FieldElem) -> bool:
-    """True iff x is fixed by the subfield Frobenius."""
-    return x.ctx.frob_q(x.bits) == x.bits
-
-
-def mult_order(x: FieldElem) -> int:
-    """Multiplicative order, by descending from 2^n - 1 through its primes."""
-    if x.bits == 0:
-        raise ValueError("zero has no multiplicative order")
-    ctx = x.ctx
-    order = ctx.order
-    if order == 1:
-        return 1
-    for p, k in factorize(order).items():
-        for _ in range(k):
-            if ctx.pow(x.bits, order // p) == 1:
-                order //= p
-            else:
-                break
-    return order

@@ -19,7 +19,6 @@ __all__ = [
     "poly_derivative",
     "poly_reverse",
     "q_multiplicity",
-    "poly_eval",
 ]
 
 # Nibble-split carryless multiply is valid while every 4-bit output column
@@ -130,11 +129,6 @@ class BinPoly:
             bits |= 1 << e
         return cls(bits)
 
-    @classmethod
-    def from_hex(cls, text: str) -> "BinPoly":
-        """Parse the hex-packed little-endian coefficient string."""
-        return cls(int.from_bytes(bytes.fromhex(text), "little"))
-
     @property
     def degree(self):
         """Degree as an int, or None for the zero polynomial."""
@@ -153,10 +147,6 @@ class BinPoly:
                 terms.append("1" if e == 0 else "x" if e == 1 else f"x^{e}")
         return "+".join(terms)
 
-    def to_hex(self) -> str:
-        nbytes = max(1, (self.bits.bit_length() + 7) // 8)
-        return self.bits.to_bytes(nbytes, "little").hex()
-
     def __add__(self, other):
         return BinPoly(self.bits ^ _coerce(other))
 
@@ -169,16 +159,6 @@ class BinPoly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        q, r = _divmod(self.bits, _coerce(other))
-        return BinPoly(q), BinPoly(r)
-
-    def __floordiv__(self, other):
-        return BinPoly(_divmod(self.bits, _coerce(other))[0])
-
-    def __mod__(self, other):
-        return BinPoly(_divmod(self.bits, _coerce(other))[1])
-
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
@@ -189,9 +169,6 @@ class BinPoly:
             base = _mul(base, base)
             e >>= 1
         return BinPoly(r)
-
-    def __lshift__(self, k: int):
-        return BinPoly(self.bits << k)
 
     def __eq__(self, other):
         if isinstance(other, BinPoly):
@@ -274,8 +251,3 @@ def q_multiplicity(a: BinPoly) -> int:
         bits = quot
         r += 1
 
-
-def poly_eval(a: BinPoly, x):
-    """Horner evaluation of a at a field element, inside that element's field."""
-    ctx = x.ctx
-    return ctx.elem(ctx.eval_poly_bits(_coerce(a), x.bits))

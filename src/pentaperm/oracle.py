@@ -69,14 +69,11 @@ __all__ = [
     "brute_is_permutation",
     "table_permutes",
     "g_map",
-    "g_eval",
     "g_permutes_unit_circle",
     "ramification_index",
     "fiber_indices",
     "ramification_profile",
-    "branch_points",
     "branch_points_of_map",
-    "critical_point_residual",
     "ramification_report",
 ]
 
@@ -397,14 +394,6 @@ def g_map(spec: FamilySpec) -> RationalMap:
     return RationalMap.make(build_N(spec), build_H(spec))
 
 
-def g_eval(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> ProjPoint:
-    """Value of the reduced g at x; INFINITY where the reduced denominator dies."""
-    if ctx.subfield_m is None:
-        raise ValueError("g_eval needs a context with subfield structure")
-    _check_owner(ctx, x)
-    return g_map(spec).eval(ctx, x)
-
-
 def _sparse_values(table, ks, exps):
     """The polynomial with exponents exps at each h^k, where table = [h^0, ...,
     h^(s-1)] is cyclic: (h^k)^e = table[k e mod s].  Gathers hold <= _CHUNK entries."""
@@ -557,20 +546,6 @@ def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
     return 0
 
 
-def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> FieldElem:
-    """N'(a)D(a) + N(a)D'(a); zero is necessary at every ramification point."""
-    from .gf2poly import poly_derivative
-
-    _check_owner(ctx, alpha)
-    a = alpha.bits
-    n, d = g.reduced_num, g.reduced_den
-    nv = ctx.eval_poly_bits(n.bits, a)
-    dv = ctx.eval_poly_bits(d.bits, a)
-    npv = ctx.eval_poly_bits(poly_derivative(n).bits, a)
-    dpv = ctx.eval_poly_bits(poly_derivative(d).bits, a)
-    return ctx.elem(ctx.mul(npv, dv) ^ ctx.mul(nv, dpv))
-
-
 @functools.lru_cache(maxsize=1)
 def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
     """(images, indices, critical): int64 arrays over the field points in
@@ -624,11 +599,6 @@ def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
 def branch_points_of_map(g: RationalMap, ctx: FieldCtx) -> set:
     """Images of the critical points found among field points and infinity."""
     return {image for _, image, _ in _ramification_table(g, ctx)[2]}
-
-
-def branch_points(spec: FamilySpec, ctx: FieldCtx) -> set:
-    """Branch points of the reduced g over the given field."""
-    return branch_points_of_map(g_map(spec), ctx)
 
 
 def fiber_indices(g: RationalMap, beta: ProjPoint, ctx: FieldCtx) -> list[int]:

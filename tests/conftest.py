@@ -34,6 +34,11 @@ def power_sum_table(ctx, exponents):
     return oracle._power_sum_array(ctx, exponents).tolist()
 
 
+def unit_circle(ctx):
+    """All q + 1 solutions of x^(q+1) = 1 in GF(q^2), as elements in bit-ascending order."""
+    return [ctx.elem(b) for b in sorted(ctx._subgroup((1 << ctx.subfield_m) + 1).tolist())]
+
+
 # -- array multiply and inverse: references for the log-table scans in oracle --
 
 def mul_array(ctx, a, b):

@@ -27,7 +27,7 @@ from pentaperm.families import (
 from pentaperm.field import make_field, omega
 from pentaperm.gf2poly import Q, poly_gcd
 from pentaperm.oracle import (
-    branch_points,
+    branch_points_of_map,
     brute_is_permutation,
     g_permutes_unit_circle,
     monomials_permute,
@@ -244,7 +244,7 @@ def test_criterion_7_ramification():
             expected_branch = {w, w2} if deg >= 2 else set()
             if deg < 2:
                 degenerate.append((spec.cls, spec.i, spec.j, m))
-            if branch_points(spec, ctx) != expected_branch:
+            if branch_points_of_map(gmap, ctx) != expected_branch:
                 failures.append((spec, m, "branch set"))
             if deg >= 2:
                 profile = ramification_profile(spec, ctx)

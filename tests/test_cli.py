@@ -224,6 +224,67 @@ def test_config_non_integer_value(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_config_unreadable_is_usage_error(kind, tmp_path, capsys):
+    path = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+            "binary": tmp_path / "binary.cfg"}[kind]
+    (tmp_path / "binary.cfg").write_bytes(b"workers = \xff\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(path), "registry"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: config {path}: ")
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_refused_before_work(source, workers, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("pentaperm.cli.theory.theorem_verdict", _fail_if_called)
+    argv = ["check", "--class", "A", "--i", "1", "--j", "1", "--m", "2"]
+    if source == "flag":
+        argv = ["--workers", workers, *argv]
+    elif source == "env":
+        monkeypatch.setenv("PENTAPERM_WORKERS", workers)
+    else:
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text(f"workers = {workers}\n")
+        argv = ["--config", str(cfg), *argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: workers must be positive\n"
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("worked before refusing")
+
+
+def test_out_path_refused_before_work(tmp_path, monkeypatch, capsys):
+    # a missing parent directory or a directory as the target is refused
+    # before the command runs; a write that still fails exits 2 with an
+    # error line; a failing command leaves an existing --out file as it was
+    check = ["check", "--class", "B", "--i", "5", "--j", "6", "--m", "4"]
+    with monkeypatch.context() as patch:
+        patch.setattr("pentaperm.cli.theory.theorem_verdict", _fail_if_called)
+        for out in (tmp_path / "missing" / "x.txt", tmp_path):
+            with pytest.raises(SystemExit) as err:
+                main(["--out", str(out), *check])
+            assert err.value.code == 2
+            assert capsys.readouterr().err == (
+                f"error: out {out}: not a file in an existing directory\n")
+
+    def refuse_write(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    target = tmp_path / "report.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "open", refuse_write, raising=False)
+        assert main(["--out", str(target), *check]) == 2
+    assert capsys.readouterr().err == f"error: out {target}: Permission denied\n"
+    target.write_text("kept\n")
+    assert main(["--out", str(target), *check[:-1], "13", "--brute"]) == 2
+    assert target.read_text() == "kept\n"
+
+
 def test_gcheck_rejects_large_m():
     with pytest.raises(SystemExit) as err:
         main(["gcheck", "--class", "A", "--i", "1", "--j", "1", "--m", "9"])

@@ -16,7 +16,6 @@ from pentaperm.families import (
     eval_f,
     f_exponent_pairs,
     f_exponents,
-    family_shape,
     gcd_condition,
     match_row,
     registry_as_json,
@@ -120,6 +119,16 @@ def test_gcd_condition_examples():
     assert gcd_condition(GeneralPentanomial(11, (1, 3, 9, 10)))
     assert gcd_condition(GeneralPentanomial(9, (2, 3, 5, 6)))
     assert gcd_condition(GeneralPentanomial(9, (3, 5, 7, 8)))
+
+
+def family_shape(spec):
+    """The family's search shape, or None when i = j cancellation leaves
+    fewer than five monomials (no strict r-tuple exists)."""
+    h = build_H(spec)
+    exps = [e for e in h.exponents() if e > 0]
+    if len(exps) != 4 or not h.bits & 1:
+        return None
+    return GeneralPentanomial(spec.t, tuple(sorted(exps)))
 
 
 def test_family_tuple_of_B22_fails_the_sieve():

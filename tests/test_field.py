@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import inv_array, mul_array, subfield_inverse
+from conftest import inv_array, mul_array, subfield_inverse, unit_circle
 from pentaperm import field
 from pentaperm.field import (
     CANONICAL_MODULUS,
@@ -15,16 +15,9 @@ from pentaperm.field import (
     FieldCtx,
     LinearMap,
     canonical_modulus,
-    elem_inv,
-    elem_mul,
-    elem_pow,
-    frobenius_q,
-    in_base_field,
     is_irreducible,
     make_field,
-    mult_order,
     omega,
-    unit_circle,
 )
 from pentaperm.gf2poly import BinPoly, poly_divmod, poly_mul
 
@@ -112,26 +105,26 @@ def test_lagrange_and_frobenius_power_laws():
     ctx = make_field(4)
     for bits in range(1, 16):
         x = ctx.elem(bits)
-        assert elem_pow(x, 15) == ctx.one()
-        assert elem_pow(x, 2) == x * x
+        assert x ** 15 == ctx.one()
+        assert x ** 2 == x * x
     # squaring is additive
     for a in range(16):
         for b in range(16):
-            lhs = elem_pow(ctx.elem(a ^ b), 2)
+            lhs = ctx.elem(a ^ b) ** 2
             rhs = ctx.elem(ctx.sqr(a) ^ ctx.sqr(b))
             assert lhs == rhs
 
 
 def test_pow_zero_conventions():
     ctx = make_field(4)
-    assert elem_pow(ctx.zero(), 0) == ctx.one()
-    assert elem_pow(ctx.zero(), 7) == ctx.zero()
+    assert ctx.zero() ** 0 == ctx.one()
+    assert ctx.zero() ** 7 == ctx.zero()
 
 
 def test_gf4_omega_inverse_pair():
     ctx = make_field(2, 1)
     w = omega(ctx)
-    assert elem_mul(w, w * w) == ctx.one()
+    assert w * (w * w) == ctx.one()
 
 
 def test_omega_defining_relation():
@@ -139,7 +132,7 @@ def test_omega_defining_relation():
         ctx = make_field(n, m)
         w = omega(ctx)
         assert w * w + w + ctx.one() == ctx.zero()
-        assert elem_pow(w, 3) == ctx.one()
+        assert w ** 3 == ctx.one()
         assert w + w * w == ctx.one()
 
 
@@ -158,9 +151,8 @@ def test_frobenius_is_involution_and_fixes_subfield():
     ctx = make_field(8, 4)
     fixed = 0
     for bits in range(256):
-        x = ctx.elem(bits)
-        assert frobenius_q(frobenius_q(x)) == x
-        if frobenius_q(x) == x:
+        assert ctx.frob_q(ctx.frob_q(bits)) == bits
+        if ctx.frob_q(bits) == bits:
             fixed += 1
     assert fixed == 16
 
@@ -168,22 +160,21 @@ def test_frobenius_is_involution_and_fixes_subfield():
 def test_frobenius_is_field_automorphism(rng):
     ctx = make_field(10, 5)
     for _ in range(200):
-        x = ctx.elem(rng.randrange(1 << 10))
-        y = ctx.elem(rng.randrange(1 << 10))
-        assert frobenius_q(x * y) == frobenius_q(x) * frobenius_q(y)
-        assert frobenius_q(x + y) == frobenius_q(x) + frobenius_q(y)
+        x, y = rng.randrange(1 << 10), rng.randrange(1 << 10)
+        assert ctx.frob_q(ctx.mul(x, y)) == ctx.mul(ctx.frob_q(x), ctx.frob_q(y))
+        assert ctx.frob_q(x ^ y) == ctx.frob_q(x) ^ ctx.frob_q(y)
 
 
 def test_frobenius_of_omega_odd_m():
     ctx = make_field(6, 3)
     w = omega(ctx)
-    assert frobenius_q(w) == w * w
+    assert ctx.frob_q(w.bits) == (w * w).bits
 
 
 def test_frobenius_requires_subfield():
     ctx = make_field(5)
     with pytest.raises(ValueError):
-        frobenius_q(ctx.one())
+        ctx.frob_q(1)
 
 
 def test_unit_circle_gf4():
@@ -228,33 +219,23 @@ def test_omega_on_unit_circle_iff_m_odd(m, expected):
 def test_in_base_field():
     for m in (2, 3):
         ctx = make_field(2 * m, m)
-        assert in_base_field(ctx.zero())
-        assert in_base_field(ctx.one())
-        assert in_base_field(omega(ctx)) == (m % 2 == 0)
-
-
-def test_mult_order():
-    ctx = make_field(4, 2)
-    assert mult_order(ctx.one()) == 1
-    assert mult_order(omega(ctx)) == 3
-    assert mult_order(ctx.elem(ctx.generator())) == 15
-    # the deterministic generator search lands on the residue class of x
-    assert ctx.generator() == 0b10
-    with pytest.raises(ValueError):
-        mult_order(ctx.zero())
+        # GF(q) is the fixed field of x -> x^q
+        assert ctx.frob_q(0) == 0
+        assert ctx.frob_q(1) == 1
+        assert (ctx.frob_q(omega(ctx).bits) == omega(ctx).bits) == (m % 2 == 0)
 
 
 def test_cross_context_operations_rejected():
     a = make_field(4).one()
     b = make_field(8).one()
     with pytest.raises(ValueError):
-        elem_mul(a, b)
-    assert elem_mul(a, make_field(4, 2).one()) == a
+        a * b
+    assert a * make_field(4, 2).one() == a
 
 
 def test_inversion_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        elem_inv(make_field(4).zero())
+        make_field(4).zero().inverse()
 
 
 def test_elem_hex_form():
@@ -380,7 +361,7 @@ def test_unit_circle_refuses_a_non_generator(monkeypatch):
     not_generator = ctx.pow(make_field(18).generator(), 3)
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
     with pytest.raises(AssertionError, match="generator order mismatch"):
-        unit_circle(ctx)
+        ctx._subgroup((1 << 9) + 1)
 
 
 # -- array multiply and inverse -------------------------------------------------

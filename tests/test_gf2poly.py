@@ -12,7 +12,6 @@ from pentaperm.gf2poly import (
     _gcd,
     poly_derivative,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_mul,
     poly_reverse,
@@ -168,14 +167,14 @@ def test_q_multiplicity_rejects_zero():
 
 def test_eval_q_at_zero_and_omega():
     ctx = make_field(4, 2)
-    assert poly_eval(Q, ctx.zero()) == ctx.one()
-    assert poly_eval(Q, omega(ctx)) == ctx.zero()
+    assert ctx.eval_poly_bits(Q.bits, 0) == 1
+    assert ctx.eval_poly_bits(Q.bits, omega(ctx).bits) == 0
 
 
 def test_eval_family_at_one():
     ctx = make_field(4, 2)
     h = build_H(FamilySpec("A", 3, 1))
-    assert poly_eval(h, ctx.one()) == ctx.one()
+    assert ctx.eval_poly_bits(h.bits, 1) == 1
 
 
 def test_divmod_reconstructs(rng):
@@ -200,10 +199,9 @@ def test_ring_laws(a, b, c):
 
 @given(a=POLYS, b=POLYS.filter(bool))
 def test_divmod_property(a, b):
-    q, r = divmod(a, b)
+    q, r = poly_divmod(a, b)
     assert a == q * b + r
     assert r.degree is None or r.degree < b.degree
-    assert poly_divmod(a, b) == (q, r)
 
 
 def test_divmod_by_zero():
@@ -214,13 +212,6 @@ def test_divmod_by_zero():
 def test_text_roundtrip():
     for text in ("0", "1", "x", "x^2+x+1", "x^10+x^9+x^3+x+1"):
         assert BinPoly.from_text(text).to_text() == text
-
-
-def test_hex_roundtrip():
-    assert Q.to_hex() == "07"
-    for bits in (0, 1, 0b111, 0x1F5, 1 << 90):
-        p = BinPoly(bits)
-        assert BinPoly.from_hex(p.to_hex()) == p
 
 
 def test_degree_marker():

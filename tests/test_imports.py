@@ -1,7 +1,11 @@
-"""Import-time structure: oracle independence and the lazy numpy import."""
+"""Import-time structure: oracle independence, the lazy numpy import, and
+a public surface that the package or its benchmark uses."""
 
 import ast
+import glob
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,7 +13,12 @@ import pytest
 
 import pentaperm
 
-PACKAGE_DIR = os.path.dirname(pentaperm.__file__)
+PACKAGE_DIR = os.path.dirname(os.path.abspath(pentaperm.__file__))
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(PACKAGE_DIR)), "perfbench")
+MODULES_WITH_ALL = [info.name for info in pkgutil.iter_modules(pentaperm.__path__, "pentaperm.")
+                    if hasattr(importlib.import_module(info.name), "__all__")]
+# public names kept though only tests and README use them: reference evaluators
+KEPT_REFERENCES = ("eval_f",)
 
 
 def _package_imports(module: str) -> set[str]:
@@ -55,3 +64,40 @@ def test_import_does_not_load_numpy(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _loaded_names(tree: ast.AST, skip_def: str | None) -> set[str]:
+    """Names read (ast.Name loads and attribute names), outside the body of
+    the def or class named skip_def; __all__ strings and imports are not reads."""
+    found, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name == skip_def):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES_WITH_ALL)
+def test_all_names_resolve_and_are_used(module):
+    # every exported name exists, and the package or perfbench reads it
+    # somewhere besides its own definition: test-only helpers belong in tests
+    mod = importlib.import_module(module)
+    assert os.path.isdir(BENCH_DIR)
+    trees = {}
+    for path in glob.glob(os.path.join(PACKAGE_DIR, "*.py")) + glob.glob(
+            os.path.join(BENCH_DIR, "*.py")):
+        with open(path, encoding="utf-8") as handle:
+            trees[path] = ast.parse(handle.read())
+    unresolved = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not unresolved
+    own = os.path.abspath(mod.__file__)
+    unused = [name for name in mod.__all__ if name not in KEPT_REFERENCES and not any(
+        name in _loaded_names(tree, name if path == own else None)
+        for path, tree in trees.items())]
+    assert not unused

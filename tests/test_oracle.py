@@ -17,21 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_specs, inv_array, mul_array, power_sum_table
+from conftest import all_specs, inv_array, mul_array, power_sum_table, unit_circle
 from pentaperm import field, oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
-from pentaperm.field import FieldCtx, FieldElem, make_field, omega, unit_circle
-from pentaperm.gf2poly import BinPoly
+from pentaperm.field import FieldCtx, FieldElem, make_field, omega
+from pentaperm.gf2poly import BinPoly, poly_derivative
 from pentaperm.oracle import (
     INFINITY,
     ProjPoint,
     RationalMap,
-    branch_points,
     branch_points_of_map,
     brute_is_permutation,
-    critical_point_residual,
     fiber_indices,
-    g_eval,
     g_map,
     g_permutes_unit_circle,
     monomials_permute,
@@ -86,7 +83,7 @@ def test_power_sum_table_equals_eval_f(m):
     ctx = make_field(2 * m, m)
     for spec in all_specs(3):
         table = power_sum_table(ctx, f_exponents(spec, m))
-        assert table == [eval_f(spec, ctx, x).bits for x in ctx.elements()]
+        assert table == [eval_f(spec, ctx, ctx.elem(b)).bits for b in range(1 << ctx.n)]
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -520,7 +517,7 @@ def test_g_fixes_one():
     for m in (2, 3):
         ctx = make_field(2 * m, m)
         for spec in all_specs(3):
-            assert g_eval(spec, ctx, ctx.one()) == ctx.one()
+            assert g_map(spec).eval(ctx, ctx.one()) == ctx.one()
 
 
 def test_g_maps_circle_into_circle_row2():
@@ -528,14 +525,14 @@ def test_g_maps_circle_into_circle_row2():
     spec = FamilySpec("A", 3, 1)
     circle = set(unit_circle(ctx))
     for x in unit_circle(ctx):
-        assert g_eval(spec, ctx, x) in circle
+        assert g_map(spec).eval(ctx, x) in circle
 
 
 def test_reduced_denominator_nonvanishing_on_circle():
     ctx = make_field(8, 4)
     spec = FamilySpec("B", 2, 4)
     for x in unit_circle(ctx):
-        assert g_eval(spec, ctx, x) is not INFINITY
+        assert g_map(spec).eval(ctx, x) is not INFINITY
 
 
 def test_g_permutes_circle_examples():
@@ -551,7 +548,8 @@ def test_g_permutes_circle_equals_pointwise_g_eval(m):
     ctx = make_field(2 * m, m)
     circle = unit_circle(ctx)
     for spec in all_specs(5):
-        images = {g_eval(spec, ctx, z) for z in circle}
+        g = g_map(spec)
+        images = {g.eval(ctx, z) for z in circle}
         assert g_permutes_unit_circle(spec, m) == (images == set(circle)), spec
 
 
@@ -575,7 +573,7 @@ def test_g_permutes_circle_refuses_a_pole_on_the_circle(num, den, monkeypatch):
     monkeypatch.setattr(oracle, "g_map", lambda spec: gmap)
     ctx = make_field(2, 1)
     spec = FamilySpec("A", 1, 1)
-    assert INFINITY in {g_eval(spec, ctx, z) for z in unit_circle(ctx)}
+    assert INFINITY in {gmap.eval(ctx, z) for z in unit_circle(ctx)}
     assert not g_permutes_unit_circle(spec, 1)
 
 
@@ -717,7 +715,7 @@ def test_degree_one_maps_are_unramified():
 def test_branch_set_row2():
     ctx = make_field(4, 2)
     w = omega(ctx)
-    assert branch_points(FamilySpec("A", 3, 1), ctx) == {w, w * w}
+    assert branch_points_of_map(g_map(FamilySpec("A", 3, 1)), ctx) == {w, w * w}
 
 
 def test_branch_set_of_degree_one_map_empty():
@@ -916,13 +914,28 @@ def test_ramification_scans_match_pointwise_definitions():
                 {"point": _hex(p), "index": e, "image": _hex(g.eval(ctx, p))}
                 for p, e in crit]
             branch = {g.eval(ctx, p) for p, _ in crit}
-            assert branch_points(spec, ctx) == branch
+            assert branch_points_of_map(g, ctx) == branch
             profile = ramification_profile(spec, ctx)
             assert list(profile) == list(branch)
             for beta in branch:
                 fiber = sorted(ramification_index(g, p, ctx) for p in points
                                if g.eval(ctx, p) == beta)
                 assert profile[beta] == fiber == fiber_indices(g, beta, ctx)
+
+
+# -- reference: the critical-point residual N'D + ND' ---------------------------
+
+def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> FieldElem:
+    """N'(a)D(a) + N(a)D'(a) for the reduced N and D: zero is necessary at
+    every ramification point (the Wronskian criterion)."""
+    oracle._check_owner(ctx, alpha)
+    a = alpha.bits
+    n, d = g.reduced_num, g.reduced_den
+    nv = ctx.eval_poly_bits(n.bits, a)
+    dv = ctx.eval_poly_bits(d.bits, a)
+    npv = ctx.eval_poly_bits(poly_derivative(n).bits, a)
+    dpv = ctx.eval_poly_bits(poly_derivative(d).bits, a)
+    return ctx.elem(ctx.mul(npv, dv) ^ ctx.mul(nv, dpv))
 
 
 def test_residual_vanishes_at_omega():
@@ -1084,6 +1097,10 @@ def _some_non_circle_element(ctx):
     raise AssertionError
 
 
+def _frobenius_q(x):
+    return x.ctx.elem(x.ctx.frob_q(x.bits))
+
+
 def _some_non_subfield_element(ctx):
     for bits in range(2, 1 << ctx.n):
         if ctx.frob_q(bits) != bits:
@@ -1096,13 +1113,11 @@ def test_deg1_circle_classification_examples(m):
     ctx = make_field(2 * m, m)
     beta = unit_circle(ctx)[1]
     gamma = _some_non_circle_element(ctx)
-    from pentaperm.field import frobenius_q
-
     scaling = DegreeOneMap(beta, ctx.zero(), ctx.zero(), ctx.one())
     assert deg1_bijects_mu(scaling, ctx)
     off_circle = DegreeOneMap(gamma, ctx.zero(), ctx.zero(), ctx.one())
     assert not deg1_bijects_mu(off_circle, ctx)
-    case2 = DegreeOneMap(ctx.one(), frobenius_q(gamma) * beta, gamma, beta)
+    case2 = DegreeOneMap(ctx.one(), _frobenius_q(gamma) * beta, gamma, beta)
     assert deg1_bijects_mu(case2, ctx)
     inversion = DegreeOneMap(ctx.zero(), beta, ctx.one(), ctx.zero())
     assert deg1_bijects_mu(inversion, ctx)
@@ -1111,11 +1126,9 @@ def test_deg1_circle_classification_examples(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_deg1_projective_classification_examples(m):
     ctx = make_field(2 * m, m)
-    from pentaperm.field import frobenius_q
-
     beta = unit_circle(ctx)[1]
     delta = _some_non_subfield_element(ctx)
-    good = DegreeOneMap(delta, beta * frobenius_q(delta), ctx.one(), beta)
+    good = DegreeOneMap(delta, beta * _frobenius_q(delta), ctx.one(), beta)
     assert deg1_mu_to_p1(good, ctx)
     assert deg1_mu_to_p1_by_enumeration(good, ctx)
     identity = DegreeOneMap(ctx.one(), ctx.zero(), ctx.zero(), ctx.one())
@@ -1125,9 +1138,9 @@ def test_deg1_projective_classification_examples(m):
     in_subfield = next(ctx.elem(b) for b in range(2, 1 << ctx.n)
                        if ctx.frob_q(b) == b)
     with pytest.raises(ValueError):
-        DegreeOneMap(in_subfield, beta * frobenius_q(in_subfield), ctx.one(), beta)
+        DegreeOneMap(in_subfield, beta * _frobenius_q(in_subfield), ctx.one(), beta)
     # a nondegenerate near miss (wrong numerator constant) fails both ways
-    wrong_b = beta * frobenius_q(delta) + ctx.one()
+    wrong_b = beta * _frobenius_q(delta) + ctx.one()
     near_miss = DegreeOneMap(delta, wrong_b, ctx.one(), beta)
     assert not deg1_mu_to_p1(near_miss, ctx)
     assert not deg1_mu_to_p1_by_enumeration(near_miss, ctx)
