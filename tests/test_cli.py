@@ -235,6 +235,10 @@ def test_config_unreadable_is_usage_error(kind, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: config {path}: ")
 
 
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("worked before refusing")
+
+
 @pytest.mark.parametrize("source", ["flag", "env", "file"])
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_workers_below_one_refused_before_work(source, workers, tmp_path, monkeypatch, capsys):
@@ -252,10 +256,6 @@ def test_workers_below_one_refused_before_work(source, workers, tmp_path, monkey
         main(argv)
     assert err.value.code == 2
     assert capsys.readouterr().err == "error: workers must be positive\n"
-
-
-def _fail_if_called(*args, **kwargs):
-    raise AssertionError("worked before refusing")
 
 
 def test_out_path_refused_before_work(tmp_path, monkeypatch, capsys):
@@ -281,7 +281,8 @@ def test_out_path_refused_before_work(tmp_path, monkeypatch, capsys):
         assert main(["--out", str(target), *check]) == 2
     assert capsys.readouterr().err == f"error: out {target}: Permission denied\n"
     target.write_text("kept\n")
-    assert main(["--out", str(target), *check[:-1], "13", "--brute"]) == 2
+    # 2m = 26 is above the brute cap: the command fails with exit 2
+    assert main(["--out", str(target), *check[:-2], "--m", "13", "--brute"]) == 2
     assert target.read_text() == "kept\n"
 
 
