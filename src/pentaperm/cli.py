@@ -326,6 +326,8 @@ def cmd_rvalues(args, cfg: RunConfig) -> Report:
 def cmd_gcheck(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
     m_max = LOG_TABLE_MAX_N // 2  # the scan divides through the log table
+    if args.m < 1:
+        _usage_error("m must be positive")  # check's own message
     if args.m > m_max:
         _usage_error(f"ramification reports sweep the whole field; m <= {m_max} only")
     ctx = make_field(2 * args.m, args.m)
@@ -351,6 +353,8 @@ def cmd_gcheck(args, cfg: RunConfig) -> Report:
 
 def cmd_equiv(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
+    if args.m < 1:
+        _usage_error("m must be positive")  # check's own message
     # at m = 4 the monomial search would scan 256^4 coefficient tuples
     if args.pool == "full" and args.m > 3:
         _usage_error("full pool only supported for 2m <= 6")
@@ -377,7 +381,7 @@ def cmd_equiv(args, cfg: RunConfig) -> Report:
                       f"no {kind} certificate found over the {args.pool} pool "
                       f"(pool exhausted; not a nonexistence proof)\n")
     gcd_ok = _cert_gcd_predicts(spec, args.m, cert)
-    brute = oracle.table_permutes(equivalence.f_table(spec, args.m))  # the search's table
+    brute = oracle.brute_is_permutation(spec, args.m, cap=cfg.brute_cap)
     agrees = gcd_ok == brute
     result = {"kind": kind, "certificate": json.loads(cert.to_json()), "verified": True,
               "exponent_gcd_predicts": gcd_ok, "brute": brute}

@@ -9,16 +9,18 @@ whole field, so a verified certificate is an exhaustively checked proof
 of linear equivalence for that (family, m).
 
 Both factorizations say that f is the xor of outer(inner(x)^e) over one
-or two pairs of linear maps (field.LinearMap): (L1, L2) for the monomial,
-and (x -> d1 x, u), (x -> d2 x, v) for the bivariate form with
-L2 = (u, v).  One replay checks either, in slices of x in bit order,
-against bit-order tables of f and of x^e from oracle's power sum; each
-search or verify call builds them once (two 64 MB uint32 arrays at n = 24;
-the last f is kept, f_table).  Replay never inverts L2.  Bivariate replay
-reports the first failing x in bit order: "leaves-subfield", then
-"not-injective", then "mismatch".  The two structural conditions are
-GF(2)-linear, so their first failure is a power of two, 2^b, read off the
-basis images; mismatches are sought only below 2^b, a prefix in bit order.
+or two pairs of linear maps (field.LinearMap): (L1, L2) for the
+monomial, and (x -> d1 x, u), (x -> d2 x, v) for the bivariate form with
+L2 = (u, v).  One replay checks either: it walks f block by block in
+discrete-log order from oracle's power sum, the producer every sweep
+uses, and reads x^e at inner(x) from a bit-order table of the power sum
+(one 64 MB uint32 array at n = 24), built once per search or verify
+call; searches read f at single points with families.eval_f.  Replay
+never inverts L2.  Bivariate replay reports the first failing x in bit
+order: "leaves-subfield", then "not-injective", then "mismatch".  The
+two structural conditions are GF(2)-linear, so their first failure is a
+power of two, 2^b, read off the basis images; mismatches are sought only
+at x < 2^b.
 
 Certificates are searched over a coefficient pool, by default the four
 elements of F_4, since every known explicit certificate uses them; pool
@@ -31,14 +33,13 @@ m = 3 takes well under a second.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
 
-from .families import FamilySpec, f_exponents
-from .field import _CHUNK, FieldCtx, FieldElem, LinearMap, make_field, omega
-from .oracle import _power_sum_array
+from .families import FamilySpec, eval_f, f_exponents
+from .field import FieldCtx, FieldElem, LinearMap, make_field, omega
+from .oracle import _power_sum_array, _power_sum_blocks, _reduced_exponents
 from .theory import r_closed_form
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "MonomialCert",
     "BivariateCert",
     "f4_pool",
-    "f_table",
     "monomial_exponent",
     "verify_monomial_cert",
     "search_monomial_cert",
@@ -115,38 +115,25 @@ def f4_pool(ctx: FieldCtx) -> tuple[FieldElem, ...]:
     return tuple(ctx.elem(b) for b in sorted({0, 1, w.bits, ctx.sqr(w.bits)}))
 
 
-def _replay_mismatch(ftab, ptab, terms, limit: int) -> bool:
+def _replay_mismatch(ctx, spec: FamilySpec, ptab, terms, limit: int) -> bool:
     """Whether the xor of outer(ptab[inner(x)]) over the (outer, inner)
-    pairs of linear maps in terms differs from ftab[x] at some x < limit.
+    pairs of linear maps in terms differs from f(x) at some x < limit.
 
-    ftab is f and ptab is x^e, both in bit order.  x runs in slices of
-    _CHUNK points and the replay stops at the first slice with a mismatch.
-    x = 0 needs no care: linear maps fix 0, and f(0) = 0^e = 0.
+    ptab is x^e in bit order.  f is read block by block in discrete-log
+    order (oracle._power_sum_blocks), and the replay stops at the first
+    block with a mismatch.  x = 0 needs no care: linear maps fix 0, and
+    f(0) = 0^e = 0.
     """
-    import numpy as np
-
-    for lo in range(0, limit, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, limit), dtype=np.int64)
-        diff = ftab[xs].astype(np.int64)
-        for outer, inner in terms:
-            diff ^= outer.apply(ptab[inner.apply(xs)])
+    exps = _reduced_exponents(ctx.order, f_exponents(spec, ctx.subfield_m))
+    for xs, diff in _power_sum_blocks(ctx, exps):
+        if limit < 1 << ctx.n:
+            keep = xs < limit
+            xs, diff = xs[keep], diff[keep]
+        for outer, inner in terms:  # a new array each time: blocks are read-only
+            diff = diff ^ outer.apply(ptab[inner.apply(xs)])
         if diff.any():
             return True
     return False
-
-
-@functools.lru_cache(maxsize=1)
-def f_table(spec: FamilySpec, m: int):
-    """f over GF(2^(2m)) in bit order, read-only; the last one is kept, so a
-    search, its replays and equiv's brute verdict (oracle.table_permutes) share it."""
-    ftab = _power_sum_array(make_field(2 * m, m), f_exponents(spec, m))
-    ftab.flags.writeable = False
-    return ftab
-
-
-def _tables(ctx, spec: FamilySpec, m: int, e: int):
-    """(ftab, ptab): f and x^e over the whole field in bit order."""
-    return f_table(spec, m), _power_sum_array(ctx, [e])
 
 
 def _cert_field(cert, m: int) -> FieldCtx:
@@ -175,7 +162,7 @@ def verify_monomial_cert(cert: MonomialCert, spec: FamilySpec, m: int) -> bool:
         maps.append(ctx.linearized(a.bits, b.bits))
         if maps[-1].rank() < ctx.n:
             raise CertificateError("not-invertible", f"{name} is not a permutation")
-    return not _replay_mismatch(*_tables(ctx, spec, m, cert.e), [maps], 1 << ctx.n)
+    return not _replay_mismatch(ctx, spec, _power_sum_array(ctx, [cert.e]), [maps], 1 << ctx.n)
 
 
 def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | None:
@@ -190,8 +177,8 @@ def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = monomial_exponent(spec, m)
-    ftab, ptab = _tables(ctx, spec, m, e)
-    samples = [(x, int(ftab[x])) for x in (1, 2, 3, 5) if x < (1 << ctx.n)]
+    ptab = _power_sum_array(ctx, [e])
+    samples = [(x, eval_f(spec, ctx, ctx.elem(x)).bits) for x in (1, 2, 3, 5) if x < (1 << ctx.n)]
     # each invertible linearized map, built once, in scan order
     maps = {ab: ctx.linearized(*ab) for ab in itertools.product(pool_bits, repeat=2)}
     maps = {ab: lin for ab, lin in maps.items() if lin.rank() == ctx.n}
@@ -199,7 +186,7 @@ def search_monomial_cert(spec: FamilySpec, m: int, pool=None) -> MonomialCert | 
         l1, l2 = maps[a1, b1], maps[a2, b2]
         if any(l1(int(ptab[l2(x)])) != fx for x, fx in samples):
             continue
-        if not _replay_mismatch(ftab, ptab, [(l1, l2)], 1 << ctx.n):
+        if not _replay_mismatch(ctx, spec, ptab, [(l1, l2)], 1 << ctx.n):
             return MonomialCert(ctx.elem(a1), ctx.elem(b1),
                                 ctx.elem(a2), ctx.elem(b2), e)
     return None
@@ -238,13 +225,13 @@ def _combiner_defect(ctx, d1: int, d2: int) -> str | None:
     return None
 
 
-def _bivariate_status(ctx, ftab, ptab, c1, c2, c3, c4, d1, d2) -> str:
+def _bivariate_status(ctx, spec, ptab, c1, c2, c3, c4, d1, d2) -> str:
     """'ok', 'leaves-subfield', 'not-injective', or 'mismatch': the status
     at the first failing x in bit order, so a mismatch counts only below
     the first structural failure."""
     u, v = ctx.linearized(c2, c1), ctx.linearized(c4, c3)
     b, status, _ = _first_structural_failure(ctx, u, v)
-    if _replay_mismatch(ftab, ptab, [(ctx._times(d1), u), (ctx._times(d2), v)], 1 << b):
+    if _replay_mismatch(ctx, spec, ptab, [(ctx._times(d1), u), (ctx._times(d2), v)], 1 << b):
         return "mismatch"
     return status
 
@@ -264,7 +251,7 @@ def verify_bivariate_cert(cert: BivariateCert, spec: FamilySpec, m: int) -> bool
     if defect:
         raise CertificateError("degenerate-combiner", defect)
     status = _bivariate_status(
-        ctx, *_tables(ctx, spec, m, cert.e), cert.c1.bits, cert.c2.bits,
+        ctx, spec, _power_sum_array(ctx, [cert.e]), cert.c1.bits, cert.c2.bits,
         cert.c3.bits, cert.c4.bits, d1, d2)
     if status == "leaves-subfield":
         raise CertificateError("component-leaves-subfield")
@@ -287,7 +274,7 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
     pool = f4_pool(ctx) if pool is None else tuple(pool)
     pool_bits = [p.bits for p in pool]
     e = spec.t
-    ftab, ptab = _tables(ctx, spec, m, e)
+    ptab = _power_sum_array(ctx, [e])
     # components c x^q + c' x that land in GF(q) at every x, in scan order
     components = {}
     for c1, c2 in itertools.product(pool_bits, repeat=2):
@@ -302,10 +289,12 @@ def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert 
             _, status, joint = _first_structural_failure(ctx, u, v)
             if status != "ok":
                 continue
-            d1, d2 = (int(ftab[joint.preimage(y)]) for y in (1 << ctx.n, 1))
+            d1, d2 = (eval_f(spec, ctx, ctx.elem(joint.preimage(y))).bits
+                      for y in (1 << ctx.n, 1))
             if (d1 in pool_bits and d2 in pool_bits and _combiner_defect(ctx, d1, d2) is None
                     and not _replay_mismatch(
-                        ftab, ptab, [(ctx._times(d1), u), (ctx._times(d2), v)], 1 << ctx.n)):
+                        ctx, spec, ptab, [(ctx._times(d1), u), (ctx._times(d2), v)],
+                        1 << ctx.n)):
                 return BivariateCert(
                     ctx.elem(c1), ctx.elem(c2), ctx.elem(c3), ctx.elem(c4),
                     ctx.elem(d1), ctx.elem(d2), e)

@@ -22,7 +22,8 @@ sharing a step constant g^(B e) advance as one sum, one multiply per block
 of B logs; a pentanomial's first block grows from one period.  A verdict
 sweep steps the sums alone in a few buffers beside the hit bitmap, and
 checks g's order by the primes of 2^n - 1.  Every grown sum is checked at
-g^-1 against scalar powers.  table_permutes reads a bit-order table instead.
+g^-1 against scalar powers.  Blocks are yielded as read-only views: a
+large field reuses their buffers for the next block.
 
 monomials_permute remembers its verdicts in bounded LRU memos of
 _MEMO_SIZE entries, one per field degree, keyed by the reduced exponent
@@ -67,7 +68,6 @@ __all__ = [
     "MU_CAP",
     "monomials_permute",
     "brute_is_permutation",
-    "table_permutes",
     "g_map",
     "g_permutes_unit_circle",
     "ramification_index",
@@ -200,12 +200,21 @@ def _one_block_sum(ctx: FieldCtx, exps):
     return values
 
 
+def _read_only(*arrays):
+    """Read-only views of the arrays (None stays None)."""
+    views = tuple(None if a is None else a.view() for a in arrays)
+    for view in views:
+        if view is not None:
+            view.flags.writeable = False
+    return views
+
+
 def _power_sum_blocks(ctx: FieldCtx, exps, *, points: bool = True):
     """Yield (xs, values) per block of discrete logs k: the points x = g^k
     (None if not points) and the xor of x^e over the reduced exponents
-    (_reduced_exponents) at each.  Callers must not write to either, and a
-    pair is valid only until the next block is requested: a larger field
-    reuses buffers allocated once per sweep.
+    (_reduced_exponents) at each, as read-only views.  A pair is valid only
+    until the next block is requested: a larger field reuses buffers
+    allocated once per sweep.
 
     A one-block field is _one_block_sum beside the antilog table.  A larger
     field sums the columns (g^k)^e per step constant g^(B e) and advances
@@ -219,7 +228,7 @@ def _power_sum_blocks(ctx: FieldCtx, exps, *, points: bool = True):
 
     order = ctx.order
     if order <= _BLOCK:
-        yield (ctx.exp_array() if points else None), _one_block_sum(ctx, exps)
+        yield _read_only(ctx.exp_array() if points else None, _one_block_sum(ctx, exps))
         return
     g, groups = ctx.generator(), {}
     if any(ctx.pow(g, order // p) == 1 for p in prime_factors(order)):
@@ -245,7 +254,7 @@ def _power_sum_blocks(ctx: FieldCtx, exps, *, points: bool = True):
         values = cols[0][:size]  # a view of a column: never xored in place
         for col in cols[1:len(groups)]:
             values = np.bitwise_xor(values, col[:size], out=acc[:size])
-        yield xs, values
+        yield _read_only(xs, values)
     # the last log is order - 1: a wrong step constant shows at x = g^-1
     want = functools.reduce(int.__xor__, (ctx.pow(g, (order - 1) * e) for e in exps), 0)
     if int(values[-1]) != want or (points and ctx.mul(int(xs[-1]), g) != 1):
@@ -313,17 +322,6 @@ def _sweep(n: int, exps: tuple[int, ...]) -> bool:
 
 
 _sweep_permutes = _VerdictMemo()
-
-
-def table_permutes(table) -> bool:
-    """Whether a bit-order table of a map on GF(2^n) (2^n entries below 2^n)
-    is a bijection: every point marked in a bitmap, _CHUNK entries at a time."""
-    import numpy as np
-
-    bitmap = np.zeros(len(table), dtype=bool)
-    for lo in range(0, len(table), _CHUNK):
-        bitmap[table[lo:lo + _CHUNK]] = True
-    return bool(bitmap.all())
 
 
 def brute_is_permutation(spec: FamilySpec, m: int, cap: int = BRUTE_CAP) -> bool:

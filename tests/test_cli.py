@@ -563,6 +563,22 @@ def test_equiv_full_pool_above_2m_6_refused_before_field_work(monkeypatch, capsy
     assert "full pool only supported for 2m <= 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", ["check --class B --i 5 --j 6 --m 0",
+                                  "gcheck --class B --i 5 --j 6 --m 0",
+                                  "equiv --class B --i 5 --j 6 --m 0",
+                                  "equiv --class A --i 3 --j 1 --m -1"])
+def test_nonpositive_m_refused_before_field_work(argv, monkeypatch, capsys):
+    # every command with --m names m, not the field degree 2m, and builds no field
+    for module in ("cli", "equivalence", "oracle"):
+        monkeypatch.setattr(f"pentaperm.{module}.make_field", _fail_if_called)
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err == "error: m must be positive\n"
+
+
 @pytest.mark.parametrize("argv", [
     "check --class A --i 13 --j 1 --m 2",
     "condition --class B --i 5 --j 13",

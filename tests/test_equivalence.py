@@ -9,7 +9,7 @@ from conftest import all_specs, power_sum_table
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pentaperm import equivalence
+from pentaperm import equivalence, oracle
 from pentaperm.equivalence import (
     BivariateCert,
     CertificateError,
@@ -23,7 +23,7 @@ from pentaperm.equivalence import (
 )
 from pentaperm.families import FamilySpec, f_exponents
 from pentaperm.field import FieldCtx, make_field, omega
-from pentaperm.oracle import brute_is_permutation
+from pentaperm.oracle import _power_sum_array, brute_is_permutation
 from pentaperm.theory import r_closed_form
 
 FAMILY17 = FamilySpec("B", 5, 6)
@@ -177,7 +177,7 @@ def test_bivariate_search_replays_one_combiner_per_sound_l2(monkeypatch):
     times, mismatch = FieldCtx._times, equivalence._replay_mismatch
     monkeypatch.setattr(FieldCtx, "_times", lambda self, c: built.append(c) or times(self, c))
     monkeypatch.setattr(equivalence, "_replay_mismatch",
-                        lambda *args: replays.append(args[2]) or mismatch(*args))
+                        lambda *args: replays.append(args[3]) or mismatch(*args))
     assert search_bivariate_cert(FAMILY17, 3) is not None
     inners = {tuple(inner.images for _, inner in terms) for terms in replays}
     assert len(inners) == len(replays) <= 4
@@ -335,9 +335,9 @@ def test_solved_bivariate_search_equals_combiner_scan(m, pool_bits):
 REPLAY_SPECS = [FAMILY17, FamilySpec("A", 3, 1), FamilySpec("C", 2, 2), FamilySpec("B", 2, 4)]
 
 
-def _monomial_replay_matches(ctx, ftab, ptab, a1, b1, a2, b2):
+def _monomial_replay_matches(ctx, spec, ptab, a1, b1, a2, b2):
     terms = [(ctx.linearized(a1, b1), ctx.linearized(a2, b2))]
-    return not equivalence._replay_mismatch(ftab, ptab, terms, 1 << ctx.n)
+    return not equivalence._replay_mismatch(ctx, spec, ptab, terms, 1 << ctx.n)
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -348,9 +348,9 @@ def test_monomial_replay_equals_pointwise_on_f4_pool(m):
     for spec in REPLAY_SPECS:
         fvals = power_sum_table(ctx, f_exponents(spec, m))
         for e in (monomial_exponent(spec, m), spec.t):
-            tables = equivalence._tables(ctx, spec, m, e)
+            ptab = _power_sum_array(ctx, [e])
             for tup in itertools.product(pool, repeat=4):
-                got = _monomial_replay_matches(ctx, *tables, *tup)
+                got = _monomial_replay_matches(ctx, spec, ptab, *tup)
                 assert got == monomial_matches_pointwise(ctx, fvals, *tup, e)
 
 
@@ -360,7 +360,7 @@ def test_monomial_replay_equals_pointwise(data, m, spec):
     tup = data.draw(st.tuples(*[st.integers(0, ctx.order)] * 4))
     e = data.draw(st.sampled_from([monomial_exponent(spec, m), spec.t]))
     fvals = power_sum_table(ctx, f_exponents(spec, m))
-    got = _monomial_replay_matches(ctx, *equivalence._tables(ctx, spec, m, e), *tup)
+    got = _monomial_replay_matches(ctx, spec, _power_sum_array(ctx, [e]), *tup)
     assert got == monomial_matches_pointwise(ctx, fvals, *tup, e)
 
 
@@ -374,8 +374,8 @@ def test_bivariate_replay_equals_pointwise(data, m, spec):
     fvals = power_sum_table(ctx, f_exponents(spec, m))
     want, _ = bivariate_status_pointwise(ctx, fvals, *tup, spec.t)
     # _bivariate_status replays below the first structural failure
-    tables = equivalence._tables(ctx, spec, m, spec.t)
-    assert equivalence._bivariate_status(ctx, *tables, *tup) == want
+    ptab = _power_sum_array(ctx, [spec.t])
+    assert equivalence._bivariate_status(ctx, spec, ptab, *tup) == want
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -386,10 +386,10 @@ def test_bivariate_replay_equals_pointwise_on_f4_pool(m):
     for spec in REPLAY_SPECS[:2]:
         exps = f_exponents(spec, m)
         fvals = power_sum_table(ctx, exps)
-        ftab, ptab = equivalence._tables(ctx, spec, m, spec.t)
+        ptab = _power_sum_array(ctx, [spec.t])
         for tup in itertools.product(pool, repeat=6):
             want, _ = bivariate_status_pointwise(ctx, fvals, *tup, spec.t)
-            assert equivalence._bivariate_status(ctx, ftab, ptab, *tup) == want
+            assert equivalence._bivariate_status(ctx, spec, ptab, *tup) == want
             statuses.add(want)
     assert statuses == {"ok", "leaves-subfield", "not-injective", "mismatch"}
 
@@ -406,7 +406,7 @@ def test_first_structural_failure_is_at_a_power_of_two():
     cases += [(0, c, w2, w) for c in range(1 << ctx.n)]
     zeros = [0] * (1 << ctx.n)  # with d1 = d2 = 0 nothing mismatches
     fvals = power_sum_table(ctx, f_exponents(FAMILY17, m))
-    ftab, ptab = equivalence._tables(ctx, FAMILY17, m, 97)
+    ptab = _power_sum_array(ctx, [97])
     late = set()
     for c1, c2, c3, c4 in cases:
         want, x = bivariate_status_pointwise(ctx, zeros, c1, c2, c3, c4, 0, 0, 97)
@@ -419,5 +419,56 @@ def test_first_structural_failure_is_at_a_power_of_two():
                 late.add(want)
         # with a real f and combiner a mismatch below 2^b comes first
         want, _ = bivariate_status_pointwise(ctx, fvals, c1, c2, c3, c4, w, w2, 97)
-        assert equivalence._bivariate_status(ctx, ftab, ptab, c1, c2, c3, c4, w, w2) == want
+        assert equivalence._bivariate_status(ctx, FAMILY17, ptab, c1, c2, c3, c4, w, w2) == want
     assert late == {"not-injective", "leaves-subfield"}
+
+
+# -- the streamed replay on multi-block fields ---------------------------------
+
+def _thm_terms(m):
+    """The theorem certificate's (outer, inner) replay terms at m."""
+    ctx = make_field(2 * m, m)
+    if m % 2 == 0:
+        cert = _thm_monomial_cert(m)
+        return [(ctx.linearized(cert.a1.bits, cert.b1.bits),
+                 ctx.linearized(cert.a2.bits, cert.b2.bits))]
+    cert = _thm_bivariate_cert(m)
+    return [(ctx._times(cert.d1.bits), ctx.linearized(cert.c2.bits, cert.c1.bits)),
+            (ctx._times(cert.d2.bits), ctx.linearized(cert.c4.bits, cert.c3.bits))]
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_streamed_replay_reaches_the_last_point(m):
+    # n = 18 and 20 sweep f in several blocks; x = g^-1 is the last point of
+    # the last block, and for the monomial (m = 10) L2 is a bijection, so an
+    # x^e entry tampered at L2(g^-1) is read there alone
+    ctx = make_field(2 * m, m)
+    assert ctx.order > oracle._BLOCK
+    cert = _thm_bivariate_cert(m) if m % 2 else _thm_monomial_cert(m)
+    verify = verify_bivariate_cert if m % 2 else verify_monomial_cert
+    assert verify(cert, FAMILY17, m)
+    terms, ptab = _thm_terms(m), _power_sum_array(ctx, [97])
+    assert not equivalence._replay_mismatch(ctx, FAMILY17, ptab, terms, 1 << ctx.n)
+    last = ctx.inv(ctx.generator())
+    *_, (xs, _) = oracle._power_sum_blocks(ctx, (1,))
+    assert int(xs[-1]) == last
+    ptab[terms[0][1](last)] ^= 1
+    assert equivalence._replay_mismatch(ctx, FAMILY17, ptab, terms, 1 << ctx.n)
+
+
+def test_bivariate_mismatch_at_or_above_the_structural_failure_is_not_reported():
+    # the theorem L2 with v(x) = x instead: v agrees with the theorem's at
+    # x = 1 (w + w^2 = 1), leaves GF(q) at x = 2, and the replay mismatches
+    # only from there on, so the status is the structural one
+    m = 9
+    ctx = make_field(2 * m, m)
+    w = omega(ctx).bits
+    w2 = ctx.sqr(w)
+    u, v = ctx.linearized(w, w2), ctx.linearized(1, 0)
+    assert equivalence._first_structural_failure(ctx, u, v)[:2] == (1, "leaves-subfield")
+    ptab = _power_sum_array(ctx, [97])
+    terms = [(ctx._times(w), u), (ctx._times(w2), v)]
+    assert not equivalence._replay_mismatch(ctx, FAMILY17, ptab, terms, 2)
+    assert equivalence._replay_mismatch(ctx, FAMILY17, ptab, terms, 1 << ctx.n)
+    status = equivalence._bivariate_status(ctx, FAMILY17, ptab, w2, w, 0, 1, w, w2)
+    assert status == "leaves-subfield"

@@ -17,8 +17,6 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(pentaperm.__file__))
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(PACKAGE_DIR)), "perfbench")
 MODULES_WITH_ALL = [info.name for info in pkgutil.iter_modules(pentaperm.__path__, "pentaperm.")
                     if hasattr(importlib.import_module(info.name), "__all__")]
-# public names kept though only tests and README use them: reference evaluators
-KEPT_REFERENCES = ("eval_f",)
 
 
 def _package_imports(module: str) -> set[str]:
@@ -97,7 +95,7 @@ def test_all_names_resolve_and_are_used(module):
     unresolved = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not unresolved
     own = os.path.abspath(mod.__file__)
-    unused = [name for name in mod.__all__ if name not in KEPT_REFERENCES and not any(
+    unused = [name for name in mod.__all__ if not any(
         name in _loaded_names(tree, name if path == own else None)
         for path, tree in trees.items())]
     assert not unused

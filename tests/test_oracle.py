@@ -124,8 +124,9 @@ def assert_verdict_is_enumeration(n, exps, **bounds):
     with sweep_block(**bounds):
         assert monomials_permute(n, exps) == want
         assert oracle._sweep_permutes.cache_info().misses == 1  # swept, not recalled
-        # the same verdict read off the bit-order table (equiv's route)
-        assert oracle.table_permutes(oracle._power_sum_array(make_field(n), exps)) == want
+        # the bit-order table holds 2^n distinct values exactly when f permutes
+        table = oracle._power_sum_array(make_field(n), exps)
+        assert (len(np.unique(table)) == 1 << n) == want
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -246,6 +247,19 @@ def test_multi_block_points_cover_the_field_once():
     xs = np.concatenate([xs.copy() for xs, _ in oracle._power_sum_blocks(ctx, [3])])
     assert len(xs) == ctx.order
     assert np.array_equal(np.sort(xs), np.arange(1, 1 << 18))
+
+
+@pytest.mark.parametrize("n", [4, 18])
+def test_yielded_blocks_are_read_only(n):
+    # one block at n = 4, several reused buffers at n = 18
+    ctx = make_field(n)
+    blocks = 0
+    for xs, values in oracle._power_sum_blocks(ctx, [1, 3]):
+        for view in (xs, values):
+            with pytest.raises(ValueError, match="read-only"):
+                view ^= 1
+        blocks += 1
+    assert blocks == (1 if n == 4 else -(-ctx.order // oracle._BLOCK))
 
 
 def test_multi_block_power_sum_table_at_seeded_points(rng):
