@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import equivalence, families, oracle, search, theory
 from .families import FamilySpec, match_row, registry_as_json, table1_registry
-from .field import LOG_TABLE_MAX_N, make_field
+from .field import make_field
 
 ENV_PREFIX = "PENTAPERM_"
 CONFIG_KEYS = ("brute_cap", "workers", "format", "out")
@@ -325,7 +325,7 @@ def cmd_rvalues(args, cfg: RunConfig) -> Report:
 
 def cmd_gcheck(args, cfg: RunConfig) -> Report:
     spec = _spec_from(args)
-    m_max = LOG_TABLE_MAX_N // 2  # the scan divides through the log table
+    m_max = oracle.RAMIFICATION_CAP // 2  # the scan evaluates W at all 2^(2m) points
     if args.m < 1:
         _usage_error("m must be positive")  # check's own message
     if args.m > m_max:

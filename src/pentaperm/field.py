@@ -2,7 +2,7 @@
 
 Every context uses the canonical modulus for its degree: the irreducible
 polynomial whose coefficient bitstring, read as an integer, is least.  A
-frozen table covers degrees 1..40, with a runtime sieve as fallback, so two
+frozen table covers every degree make_field accepts, 1..N_CAP = 40, so two
 processes always agree on element representations.  Elements are residue
 classes stored as plain bit masks; the FieldElem wrapper carries a context
 reference and refuses arithmetic with elements of another degree.  There is
@@ -24,10 +24,9 @@ table, and oracle's unit circle and subfield multiplicative group, are
 cyclic subgroups from FieldCtx._subgroup, which checks their generator's
 order.  For n <= 16 a context also keeps the antilog table, and the log
 table derived from it, as Python lists for scalar multiplication, and the
-log table as a uint16 array (log_array) for oracle's sweeps and scans,
-which multiply and divide arrays of elements by adding and subtracting
-their logs; larger fields multiply via carryless word products and the
-fold map.
+log table as a uint16 array (log_array) for oracle's one-block sweeps,
+which multiply arrays of elements by a constant by adding logs; larger
+fields multiply via carryless word products and the fold map.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ _CHUNK = 1 << 16
 _APPLY_BITS = 12  # input bits per LinearMap table: 32 KB, about one L1d
 
 # Least irreducible of each degree, as a coefficient bitmask (leading bit set).
-# Frozen output of the sieve below; regenerated and checked by the test suite.
+# Regenerated and checked by the test suite; make_field refuses n > N_CAP = 40.
 CANONICAL_MODULUS = {
     1: 0x2, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B,
     9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201B, 14: 0x4021,
@@ -66,31 +65,6 @@ CANONICAL_MODULUS = {
     33: 0x20000004B, 34: 0x40000001B, 35: 0x800000005, 36: 0x1000000035,
     37: 0x200000003F, 38: 0x4000000063, 39: 0x8000000011, 40: 0x10000000039,
 }
-
-
-def is_irreducible(bits: int) -> bool:
-    """Irreducibility over GF(2): no factor of degree <= deg/2 shares a root."""
-    if bits <= 1:
-        return False
-    from .gf2poly import _divmod, _gcd, _mul
-
-    b = 2
-    for _ in range((bits.bit_length() - 1) // 2):
-        b = _divmod(_mul(b, b), bits)[1]
-        if _gcd(b ^ 2, bits) != 1:
-            return False
-    return True
-
-
-def canonical_modulus(n: int) -> int:
-    """The least irreducible bitmask of degree n (table hit or runtime sieve)."""
-    got = CANONICAL_MODULUS.get(n)
-    if got is not None:
-        return got
-    c = 1 << n
-    while not is_irreducible(c):
-        c += 1
-    return c
 
 
 def _reduce_by_pivots(pivots, y: int, src: int) -> tuple[int, int]:
@@ -455,7 +429,7 @@ def make_field(n: int, subfield_m: int | None = None) -> FieldCtx:
         raise ValueError(f"subfield_m={subfield_m} inconsistent with n={n}")
     ctx = _CTX_CACHE.get(n)
     if ctx is None:
-        ctx = _CTX_CACHE[n] = FieldCtx(n, canonical_modulus(n))
+        ctx = _CTX_CACHE[n] = FieldCtx(n, CANONICAL_MODULUS[n])
     return ctx
 
 

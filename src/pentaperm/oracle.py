@@ -4,10 +4,10 @@ Nothing here consults the closed-form theory: permutation status comes
 from exhaustive sweeps with a hit bitmap, the fractional map g = N/H is
 checked on the whole unit circle in polar coordinates (N and H as arrays,
 each value written as lambda zeta^i by integer gathers, with no field
-multiply or inverse), and ramification indices come from Hasse
-derivatives evaluated over all of GF(2^(2m)).  That
-independence is what makes agreement with the theorem engine a
-meaningful check.
+multiply or inverse), and critical points come from the zeros of the
+Wronskian over all of GF(2^(2m)), with their indices from Hasse
+derivatives.  That independence is what makes agreement with the theorem
+engine a meaningful check.
 
 Every whole-field sweep is one power sum, xor of x^e over the exponents,
 taken in discrete-log order x = g^k in blocks of at most _BLOCK logs.
@@ -36,16 +36,19 @@ per distinct key.  A test that patches _BLOCK or _WHOLE must clear the
 memo (_sweep_permutes.cache_clear()), or its sweep may be answered from it.
 
 Branch points are reported as images of critical points found among the
-field points plus infinity.  A ramification scan evaluates N, D and
-their Hasse derivatives at every nonzero point as arrays, divides and
-multiplies them by adding logs (so it needs the log table, n <= 16),
-checks its row at g^-1 against scalar evaluation, and keeps the last
-table of images and indices; the branch points, fibers, profile and
-report of one map are filters over it.  The underlying definitions live
-over the algebraic closure; for the maps in scope every critical point
-lies in F_4, a subfield of every GF(2^(2m)), so the scan sees them all.
-Inseparable maps such as x -> x^2 (where every point is critical) are
-reported as such.
+field points plus infinity.  A ramification scan (n <= RAMIFICATION_CAP)
+evaluates the reduced N and D and the Wronskian W = N'D + ND', built here
+from N and D, at every nonzero point as arrays, and checks them at g^-1
+against scalar evaluation.  The critical points are 0, infinity and the
+nonzero zeros of W with index above 1; ramification_index, by Hasse
+derivatives at one point, is the only index computation, and every
+nonzero zero of W has an index above 1.  A fiber over beta counts the x
+with N(x) = beta D(x), with index 1 off the critical points.  The last
+scan is kept, so the branch points, fibers, profile and report of one map
+share it.  The underlying definitions live over the algebraic closure;
+for the maps in scope every critical point lies in F_4, a subfield of
+every GF(2^(2m)), so the scan sees them all.  Inseparable maps such as
+x -> x^2 (where every point is critical) are reported as such.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 
 from .families import FamilySpec, build_H, build_N, f_exponents
 from .field import _CHUNK, FieldCtx, FieldElem, LinearMap, make_field
-from .gf2poly import BinPoly, poly_divmod, poly_gcd, poly_reverse
+from .gf2poly import BinPoly, poly_derivative, poly_divmod, poly_gcd, poly_mul, poly_reverse
 from .intarith import prime_factors
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
     "RationalMap",
     "BRUTE_CAP",
     "MU_CAP",
+    "RAMIFICATION_CAP",
     "monomials_permute",
     "brute_is_permutation",
     "g_map",
@@ -79,6 +83,7 @@ __all__ = [
 
 BRUTE_CAP = 24  # largest field degree 2m swept exhaustively by default
 MU_CAP = 20  # largest m whose unit circle is enumerated
+RAMIFICATION_CAP = 16  # largest field degree 2m scanned for critical points
 
 
 class _Infinity:
@@ -143,23 +148,29 @@ def _reduced_exponents(order: int, exponents) -> tuple[int, ...]:
     return tuple(sorted(odd))
 
 
-def _log_multiples(n: int, count: int, step: int):
-    """k step mod 2^n - 1 plus 0 to 2 orders for k < count (step < 2^n), as
-    an intp array: k step < 2^(2n) is folded once, as 2^n = 1 mod 2^n - 1."""
-    import numpy as np
-
-    idx = np.arange(count, dtype=np.intp)
-    idx *= step
-    low = idx & (1 << n) - 1
-    idx >>= n
-    idx += low
-    return idx
+def _fold(idx, s: int):
+    """A residue of idx mod s in [-(s + 1), 2s), which a wrapping take
+    finishes reducing: with idx = hi 2^w + lo, lo + hi for s = 2^w - 1 and
+    lo - hi for s = 2^w + 1.  idx is a nonnegative intp array below s^2,
+    and is overwritten."""
+    plus = s & s + 1 != 0  # s = 2^w + 1, else s = 2^w - 1
+    w = s.bit_length() - plus
+    low = idx & (1 << w) - 1
+    idx >>= w
+    if plus:
+        low -= idx
+    else:
+        low += idx
+    return low
 
 
 @functools.lru_cache(maxsize=64)
 def _column(n: int, e: int, span: int):
     """(g^k)^e for k < span as a read-only int64 array (one-block fields)."""
-    col = make_field(n).exp_array().take(_log_multiples(n, span, e), mode="wrap")
+    import numpy as np
+
+    order = (1 << n) - 1
+    col = make_field(n).exp_array().take(_fold(np.arange(span) * e, order), mode="wrap")
     col.flags.writeable = False
     return col
 
@@ -190,7 +201,7 @@ def _one_block_sum(ctx: FieldCtx, exps):
     # row j is the head times c^j, c = g^(P e_0) the growth constant: its
     # logs lie below 4 orders, which the wrapping take reduces
     step = int(log[ctx.pow(g, span * exps[0])])
-    logs = np.add.outer(_log_multiples(ctx.n, order // span, step), log[head])
+    logs = np.add.outer(_fold(np.arange(order // span) * step, order), log[head])
     values = ctx.exp_array().take(logs.reshape(-1), mode="wrap")
     if not head.all():
         values.reshape(-1, span)[:, head == 0] = 0
@@ -402,8 +413,8 @@ def _sparse_values(table, ks, exps):
     for lo in range(0, len(exps), step):
         es = np.array(exps[lo:lo + step], dtype=np.int64) % len(table)
         for lo_k in range(0, len(ks), _SLICE):
-            idx = np.multiply.outer(es, ks[lo_k:lo_k + _SLICE]) % len(table)
-            acc[lo_k:lo_k + _SLICE] ^= np.bitwise_xor.reduce(table[idx], axis=0)
+            idx = _fold(np.multiply.outer(es, ks[lo_k:lo_k + _SLICE]), len(table))
+            acc[lo_k:lo_k + _SLICE] ^= np.bitwise_xor.reduce(table.take(idx, mode="wrap"), axis=0)
     return acc
 
 
@@ -517,81 +528,68 @@ def g_permutes_unit_circle(spec: FamilySpec, m: int) -> bool:
 # ramification over the concrete field
 # ---------------------------------------------------------------------------
 
-def _hasse(exps, k: int):
-    """The k-th Hasse derivative on an int64 exponent array: x^e -> C(e, k)
-    x^(e-k), where C(e, k) is odd exactly when e & k == k (Lucas)."""
-    return exps[(exps & k) == k] - k
-
-
 def ramification_index(g: RationalMap, alpha: ProjPoint, ctx: FieldCtx) -> int:
-    """Multiplicity of alpha as a root of N - g(alpha)D (D when g(alpha) = inf):
-    the least k >= 1 with (D^k N)(alpha) + g(alpha) (D^k D)(alpha) != 0, or
-    (D^k D)(alpha) != 0 at a pole, for the reduced N and D, each derivative
-    summed term by term.  The index at infinity is computed through the
-    substitution x -> 1/x."""
+    """Multiplicity of alpha as a root of P = N - g(alpha)D (D when
+    g(alpha) = inf) for the reduced N and D, or 0 if P = 0: the least k >= 1
+    with (D^k P)(alpha) != 0, where D^k x^e = C(e, k) x^(e-k) is the k-th
+    Hasse derivative and C(e, k) is odd exactly when e & k == k (Lucas).
+
+    At alpha = 0 that is the least k >= 1 where P has a term.  Elsewhere
+    (D^k P)(alpha) is alpha^-k times the xor of p_e alpha^e over the e that
+    contain k: one superset-sum transform of those terms over the bit masks
+    below 2^(bit length of deg g) gives every k at once.  The index at
+    infinity is computed through the substitution x -> 1/x."""
     _check_owner(ctx, alpha)
     if alpha is INFINITY:
         return ramification_index(g.flipped(), ctx.zero(), ctx)
     import numpy as np
 
-    a, value = alpha.bits, g.eval_bits(ctx, alpha.bits)
-    terms = [np.array(p.exponents(), dtype=np.int64) for p in (g.reduced_num, g.reduced_den)]
-    for k in range(1, g.degree + 1):
-        nk, dk = (functools.reduce(int.__xor__, (ctx.pow(a, e) for e in _hasse(ex, k).tolist()), 0)
-                  for ex in terms)
-        if (dk if value is INFINITY else nk ^ ctx.mul(value, dk)):
-            return k
-    return 0
+    a, value, bits = alpha.bits, g.eval_bits(ctx, alpha.bits), g.degree.bit_length()
+    terms = np.zeros(1 << bits, dtype=np.int64)
+    parts = [(g.reduced_den, 1)]  # a pole: P = D
+    if value is not INFINITY:
+        parts = [(g.reduced_num, 1), (g.reduced_den, value)]
+    for poly, c in parts:
+        for e in poly.exponents():
+            terms[e] ^= ctx.mul(c, ctx.pow(a, e)) if a else c
+    for bit in range(bits if a else 0):  # terms[k] becomes alpha^k (D^k P)(alpha)
+        pairs = terms.reshape(-1, 2, 1 << bit)
+        pairs[:, 0] ^= pairs[:, 1]
+    ks = np.flatnonzero(terms[1:])
+    return int(ks[0]) + 1 if len(ks) else 0
 
 
 @functools.lru_cache(maxsize=1)
 def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
-    """(images, indices, critical): int64 arrays over the field points in
-    bit order plus row 2^n for infinity (an image of 2^n is infinity), and
-    (point, image, index) at each critical row.  Hasse order k is evaluated
-    in discrete-log order, only where every order below it vanished.
+    """(nvals, dvals, critical): the reduced N and D at every nonzero point
+    x = g^k in discrete-log order as read-only int64 arrays, and
+    (point, image, index) at each critical point, in bit order with
+    infinity last.
 
-    Products and quotients go through the log tables (n <= 16): g = N/D is
-    exp[log N - log D] and g (D^k D) is exp[log g + log D^k D], one wrapping
-    take each.  As log 0 = 0 = log 1, a zero N gives g = 0 and a zero
-    factor a zero product by mask; a zero D is a pole row.  The row at the
-    last log, x = g^-1, must equal its scalar image and index."""
+    The candidates are 0, infinity and the nonzero zeros of the Wronskian
+    W = N'D + ND', and each takes g.eval and ramification_index; index 1 is
+    dropped.  W misses no critical point: off a pole W(a) / D(a) is the
+    first Hasse residual N'(a) + g(a) D'(a), and at a pole N(a) != 0 (N and
+    D are coprime), so W(a) = N(a) D'(a) vanishes iff the pole is multiple.
+    At the last log, x = g^-1, N and D must equal their scalar values, and
+    W must vanish iff the scalar index exceeds 1."""
     import numpy as np
 
-    size, log = 1 << ctx.n, ctx.log_array()  # refuses n > 16 before the antilog table
-    exp = ctx.exp_array()
-    num, den = (np.array(p.exponents(), dtype=np.int64) for p in (g.reduced_num, g.reduced_den))
-    todo = np.arange(len(exp))
-    nvals, dvals = _sparse_values(exp, todo, num), _sparse_values(exp, todo, den)
-    logs = log[nvals].astype(np.int64)  # int64: uint16 differences would wrap
-    logs -= log[dvals]
-    values = exp.take(logs, mode="wrap")
-    values[nvals == 0] = 0
-    images = np.empty(size + 1, dtype=np.int64)
-    images[exp] = np.where(dvals == 0, size, values)
-    indices = np.zeros(size + 1, dtype=np.int64)
-    for k in range(1, g.degree + 1):
-        dk = _sparse_values(exp, todo, _hasse(den, k))
-        product = exp.take(logs[todo] + log[dk], mode="wrap")
-        product[(values[todo] == 0) | (dk == 0)] = 0
-        nk = _sparse_values(exp, todo, _hasse(num, k)) ^ product
-        residual = np.where(dvals[todo] == 0, dk, nk)
-        indices[exp[todo[residual != 0]]] = k
-        todo = todo[residual == 0]
+    if ctx.n > RAMIFICATION_CAP:  # before the antilog table is built
+        raise ValueError(f"field degree {ctx.n} exceeds the ramification cap {RAMIFICATION_CAP}")
+    exp, num, den = ctx.exp_array(), g.reduced_num, g.reduced_den
+    wronskian = poly_mul(poly_derivative(num), den) + poly_mul(num, poly_derivative(den))
+    ks = np.arange(ctx.order)
+    nvals, dvals, wvals = (_sparse_values(exp, ks, p.exponents()) for p in (num, den, wronskian))
     last = int(exp[-1])
-    image = g.eval_bits(ctx, last)
-    if (int(images[last]), int(indices[last])) != (
-            size if image is INFINITY else image, ramification_index(g, ctx.elem(last), ctx)):
+    scalar = tuple(ctx.eval_poly_bits(p.bits, last) for p in (num, den))
+    if ((int(nvals[-1]), int(dvals[-1])) != scalar
+            or (wvals[-1] == 0) != (ramification_index(g, ctx.elem(last), ctx) > 1)):
         raise AssertionError("ramification closure mismatch")
-    for row, point in ((0, ctx.zero()), (size, INFINITY)):
-        image = g.eval(ctx, point)
-        images[row] = size if image is INFINITY else image.bits
-        indices[row] = ramification_index(g, point, ctx)
-    images.flags.writeable = indices.flags.writeable = False
-    rows = np.flatnonzero(indices > 1).tolist()
-    proj = [INFINITY if c == size else ctx.elem(c) for c in rows + images[rows].tolist()]
-    critical = tuple(zip(proj[:len(rows)], proj[len(rows):], indices[rows].tolist()))
-    return images, indices, critical
+    points = [ctx.zero(), *map(ctx.elem, sorted(exp[wvals == 0].tolist())), INFINITY]
+    indexed = [(point, ramification_index(g, point, ctx)) for point in points]
+    nvals.flags.writeable = dvals.flags.writeable = False
+    return nvals, dvals, tuple((point, g.eval(ctx, point), e) for point, e in indexed if e > 1)
 
 
 def branch_points_of_map(g: RationalMap, ctx: FieldCtx) -> set:
@@ -601,10 +599,16 @@ def branch_points_of_map(g: RationalMap, ctx: FieldCtx) -> set:
 
 def fiber_indices(g: RationalMap, beta: ProjPoint, ctx: FieldCtx) -> list[int]:
     """Sorted ramification indices over beta's preimages in the field plus
-    infinity (the concrete part of the fiber)."""
-    images, indices, _ = _ramification_table(g, ctx)
-    code = 1 << ctx.n if beta is INFINITY else beta.bits if beta.ctx == ctx else -1
-    return sorted(indices[images == code].tolist())
+    infinity (the concrete part of the fiber): those of the critical points
+    over beta, and 1 at every other preimage."""
+    nvals, dvals, critical = _ramification_table(g, ctx)
+    if beta is not INFINITY and beta.ctx != ctx:
+        return []
+    # the nonzero x with N(x) = beta D(x), or D(x) = 0 over infinity
+    hits = dvals == 0 if beta is INFINITY else nvals == ctx._times(beta.bits).apply(dvals)
+    size = int(hits.sum()) + sum(g.eval(ctx, point) == beta for point in (ctx.zero(), INFINITY))
+    ramified = [e for _, image, e in critical if image == beta]
+    return sorted(ramified + [1] * (size - len(ramified)))
 
 
 def ramification_profile(spec: FamilySpec, ctx: FieldCtx) -> dict:

@@ -39,7 +39,7 @@ def unit_circle(ctx):
     return [ctx.elem(b) for b in sorted(ctx._subgroup((1 << ctx.subfield_m) + 1).tolist())]
 
 
-# -- array multiply and inverse: references for the log-table scans in oracle --
+# -- array multiply and inverse: references for the ramification and circle scans --
 
 def mul_array(ctx, a, b):
     """Elementwise product of 1-d integer arrays, as int64, in field._CHUNK

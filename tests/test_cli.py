@@ -292,21 +292,22 @@ def test_gcheck_rejects_large_m():
     assert err.value.code == 2
 
 
-def test_gcheck_bound_is_the_log_table_bound(capsys):
-    # gcheck refuses the first m whose field keeps no log table, and the scan
-    # itself refuses that field before it builds the antilog table
+def test_gcheck_bound_is_the_ramification_cap(capsys):
+    # gcheck refuses the first m above the scan's cap, and the scan itself
+    # refuses that field before it builds the antilog table
     from pentaperm import oracle
     from pentaperm.families import FamilySpec
-    from pentaperm.field import LOG_TABLE_MAX_N, FieldCtx, canonical_modulus
+    from pentaperm.field import CANONICAL_MODULUS, FieldCtx
 
-    m = LOG_TABLE_MAX_N // 2 + 1
+    assert oracle.RAMIFICATION_CAP == 16
+    m = oracle.RAMIFICATION_CAP // 2 + 1
     with pytest.raises(SystemExit) as err:
         main(["gcheck", "--class", "B", "--i", "5", "--j", "6", "--m", str(m)])
     assert err.value.code == 2
     assert capsys.readouterr().err == (
         "error: ramification reports sweep the whole field; m <= 8 only\n")
-    ctx = FieldCtx(2 * m, canonical_modulus(2 * m))
-    with pytest.raises(ValueError, match=f"no log table at n = {2 * m}"):
+    ctx = FieldCtx(2 * m, CANONICAL_MODULUS[2 * m])
+    with pytest.raises(ValueError, match=f"field degree {2 * m} exceeds the ramification cap 16"):
         oracle.ramification_report(FamilySpec("B", 5, 6), ctx)
     assert ctx._exp_np is None
 

@@ -14,12 +14,10 @@ from pentaperm.field import (
     N_CAP,
     FieldCtx,
     LinearMap,
-    canonical_modulus,
-    is_irreducible,
     make_field,
     omega,
 )
-from pentaperm.gf2poly import BinPoly, poly_divmod, poly_mul
+from pentaperm.gf2poly import BinPoly, _divmod, _gcd, _mul, poly_divmod, poly_mul
 
 
 def reference_mul(ctx, a, b):
@@ -50,7 +48,7 @@ def brute_force_least_irreducible(n):
 
 @pytest.mark.parametrize("n,expected", [(2, 0b111), (3, 0b1011), (4, 0b10011)])
 def test_canonical_modulus_small(n, expected):
-    assert canonical_modulus(n) == expected
+    assert CANONICAL_MODULUS[n] == expected
 
 
 def test_canonical_table_matches_independent_sieve():
@@ -58,7 +56,21 @@ def test_canonical_table_matches_independent_sieve():
         assert CANONICAL_MODULUS[n] == brute_force_least_irreducible(n)
 
 
+def is_irreducible(bits: int) -> bool:
+    """Irreducibility over GF(2): no factor of degree <= deg/2 shares a root."""
+    if bits <= 1:
+        return False
+    b = 2
+    for _ in range((bits.bit_length() - 1) // 2):
+        b = _divmod(_mul(b, b), bits)[1]
+        if _gcd(b ^ 2, bits) != 1:
+            return False
+    return True
+
+
 def test_canonical_table_entries_are_irreducible():
+    # every degree make_field accepts has an entry: the table is the only source
+    assert sorted(CANONICAL_MODULUS) == list(range(1, N_CAP + 1))
     for n, bits in CANONICAL_MODULUS.items():
         assert bits.bit_length() == n + 1
         assert is_irreducible(bits)
@@ -68,7 +80,7 @@ def test_make_field_deterministic_and_cached():
     a = make_field(8, 4)
     b = make_field(8, 4)
     assert a is b
-    assert a.modulus == canonical_modulus(8)
+    assert a.modulus == CANONICAL_MODULUS[8]
 
 
 @pytest.mark.parametrize("m", [2, 8, 9])
@@ -347,7 +359,7 @@ def test_powers_from_a_head_row(case):
 def test_exp_array_refuses_a_non_generator(monkeypatch):
     # a fresh context, so no antilog table is cached; g^3 has order
     # (2^18 - 1)/3, so its walk closes but revisits 1 twice
-    ctx = FieldCtx(18, canonical_modulus(18))
+    ctx = FieldCtx(18, CANONICAL_MODULUS[18])
     not_generator = ctx.pow(make_field(18).generator(), 3)
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
     with pytest.raises(AssertionError, match="generator order mismatch"):
@@ -357,7 +369,7 @@ def test_exp_array_refuses_a_non_generator(monkeypatch):
 def test_unit_circle_refuses_a_non_generator(monkeypatch):
     # q + 1 = 513 is divisible by 3, so (g^3)^(q-1) has order 171: its walk
     # of q + 1 steps closes but revisits 1
-    ctx = FieldCtx(18, canonical_modulus(18))
+    ctx = FieldCtx(18, CANONICAL_MODULUS[18])
     not_generator = ctx.pow(make_field(18).generator(), 3)
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
     with pytest.raises(AssertionError, match="generator order mismatch"):
@@ -451,7 +463,7 @@ def test_inv_array_refuses_a_norm_missing_from_the_subfield_table(monkeypatch):
 def test_subfield_table_refuses_a_non_generator(monkeypatch):
     # (2^18 - 1)/(2^9 - 1) = 513, and (g^7)^513 has order 511/7 = 73: its
     # walk of 511 steps closes but revisits 1
-    ctx = FieldCtx(18, canonical_modulus(18))
+    ctx = FieldCtx(18, CANONICAL_MODULUS[18])
     not_generator = ctx.pow(make_field(18).generator(), 7)
     subfield_inverse.cache_clear()
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)

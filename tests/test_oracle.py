@@ -21,7 +21,7 @@ from conftest import all_specs, inv_array, mul_array, power_sum_table, unit_circ
 from pentaperm import field, oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
 from pentaperm.field import FieldCtx, FieldElem, make_field, omega
-from pentaperm.gf2poly import BinPoly, poly_derivative
+from pentaperm.gf2poly import BinPoly, poly_derivative, poly_mul
 from pentaperm.oracle import (
     INFINITY,
     ProjPoint,
@@ -127,6 +127,22 @@ def assert_verdict_is_enumeration(n, exps, **bounds):
         # the bit-order table holds 2^n distinct values exactly when f permutes
         table = oracle._power_sum_array(make_field(n), exps)
         assert (len(np.unique(table)) == 1 << n) == want
+
+
+# every modulus the code folds by: 2^n - 1 for the sweep columns, growth rows
+# and ramification scan, 2^m + 1 for the unit circle
+FOLD_MODULI = sorted({(1 << n) - 1 for n in range(1, 17)} | {(1 << m) + 1 for m in range(1, 21)})
+
+
+@pytest.mark.parametrize("s", FOLD_MODULI)
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_fold_then_wrapping_take_is_the_remainder(s, data):
+    operands = st.lists(st.integers(0, s - 1), max_size=8)
+    ks, es = ([0, 1, s - 1] + data.draw(operands) for _ in range(2))
+    idx = np.multiply.outer(np.array(es), np.array(ks))
+    want = (idx % s).tolist()
+    assert np.arange(s).take(oracle._fold(idx, s), mode="wrap").tolist() == want
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -835,23 +851,46 @@ REFERENCE_MAPS = [
 ]
 
 
+def assert_critical_and_fibers(g, ctx, images, indices, betas=None):
+    """The scan's critical points, and fiber_indices over each beta (every
+    field point and infinity by default), against per-point images and
+    indices in bit order, then at infinity (an image of 2^n is infinity)."""
+    size = 1 << ctx.n
+    proj = [ctx.elem(b) for b in range(size)] + [INFINITY]
+    want = tuple((proj[row], proj[image], e)
+                 for row, (image, e) in enumerate(zip(images, indices)) if e > 1)
+    assert oracle._ramification_table(g, ctx)[2] == want
+    fibers = [[] for _ in proj]
+    for image, e in zip(images, indices):
+        fibers[image].append(e)
+    for code in range(size + 1) if betas is None else betas:
+        assert fiber_indices(g, proj[code], ctx) == sorted(fibers[code])
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_ramification_table_and_index_equal_synthetic_division(m):
-    # every point's image and index, the infinity row included, and the
-    # scalar ramification_index, against repeated synthetic division
+    # the critical points, every fiber, and the scalar ramification_index at
+    # every point, infinity included, against repeated synthetic division
     ctx = make_field(2 * m, m)
     points = [ctx.elem(b) for b in range(1 << ctx.n)] + [INFINITY]
     for g in [g_map(spec) for spec in all_specs(4)] + REFERENCE_MAPS:
-        want = _reference_rows(g, ctx)
-        images, indices, _ = oracle._ramification_table(g, ctx)
-        assert list(zip(images.tolist(), indices.tolist())) == want
-        assert [ramification_index(g, p, ctx) for p in points] == [e for _, e in want]
+        images, indices = zip(*_reference_rows(g, ctx))
+        assert_critical_and_fibers(g, ctx, images, indices)
+        assert [ramification_index(g, p, ctx) for p in points] == list(indices)
+
+
+def _hasse(exps, k: int):
+    """The k-th Hasse derivative on an int64 exponent array: x^e -> C(e, k)
+    x^(e-k), where C(e, k) is odd exactly when e & k == k (Lucas)."""
+    return exps[(exps & k) == k] - k
 
 
 def ramification_table_by_inverse(g, ctx):
-    """(images, indices, critical) as _ramification_table, with g = N D^-1
-    by one array inverse and one array multiply, and each product
-    g (D^k D) by one array multiply."""
+    """(images, indices, critical) over the field points in bit order plus
+    row 2^n for infinity (an image of 2^n is infinity), with g = N D^-1 by
+    one array inverse and one array multiply, and each Hasse order k of the
+    index, g (D^k D) by one array multiply, only where the orders below it
+    vanished."""
     size, exp = 1 << ctx.n, ctx.exp_array()
     num, den = (np.array(p.exponents(), dtype=np.int64) for p in (g.reduced_num, g.reduced_den))
     todo = np.arange(len(exp))
@@ -861,8 +900,8 @@ def ramification_table_by_inverse(g, ctx):
     images[exp] = np.where(dvals == 0, size, values)
     indices = np.zeros(size + 1, dtype=np.int64)
     for k in range(1, g.degree + 1):
-        dk = oracle._sparse_values(exp, todo, oracle._hasse(den, k))
-        nk = oracle._sparse_values(exp, todo, oracle._hasse(num, k))
+        dk = oracle._sparse_values(exp, todo, _hasse(den, k))
+        nk = oracle._sparse_values(exp, todo, _hasse(num, k))
         nk ^= mul_array(ctx, values[todo], dk)
         residual = np.where(dvals[todo] == 0, dk, nk)
         indices[exp[todo[residual != 0]]] = k
@@ -879,29 +918,33 @@ def ramification_table_by_inverse(g, ctx):
 
 @pytest.mark.parametrize("m", range(6, 9))
 def test_ramification_table_equals_inverse_reference(m):
-    # the log-table scan against array inverse and multiply: every point's
-    # image and index, and the critical rows in bit order
+    # the Wronskian scan against the array-inverse Hasse scan: the critical
+    # points in bit order, and the fibers over a sample of points
     ctx = make_field(2 * m, m)
+    size = 1 << ctx.n
     for g in [g_map(spec) for spec in all_specs(3)] + REFERENCE_MAPS:
-        images, indices, critical = oracle._ramification_table(g, ctx)
-        want_images, want_indices, want_critical = ramification_table_by_inverse(g, ctx)
-        assert images.tolist() == want_images.tolist()
-        assert indices.tolist() == want_indices.tolist()
-        assert critical == want_critical
+        images, indices, critical = ramification_table_by_inverse(g, ctx)
+        assert oracle._ramification_table(g, ctx)[2] == critical
+        # fibers over 0, 1, infinity, the first branch points and seeded points
+        betas = [0, 1, size, *images[indices > 1][:8].tolist()]
+        betas += random.Random(m).sample(range(size), 32)
+        assert_critical_and_fibers(g, ctx, images.tolist(), indices.tolist(), betas)
 
 
 @pytest.mark.parametrize("m", [3, 8])
-def test_ramification_table_refuses_a_tampered_log_table(m):
-    # swap the logs of N(g^-1) and one other element on a fresh context:
-    # the scan's last row, at x = g^-1, then differs from its scalar value
+def test_ramification_table_refuses_a_tampered_antilog_table(m):
+    # swap the antilog entry that N's top term reads at x = g^-1 with one that
+    # neither N nor D reads there, on a fresh context, keeping g^-1 in place:
+    # N's value there then differs from its scalar value
     g = REFERENCE_MAPS[-1]
     ctx = FieldCtx(2 * m, make_field(2 * m).modulus)
-    last = int(ctx.exp_array()[-1])
-    nv = ctx.eval_poly_bits(g.reduced_num.bits, last)
-    other = next(b for b in range(2, 1 << ctx.n)
-                 if b not in (nv, ctx.eval_poly_bits(g.reduced_den.bits, last)))
-    log = ctx._log_np = ctx.log_array().copy()
-    log[[nv, other]] = log[[other, nv]]
+    exp = ctx._exp_np = ctx.exp_array().copy()
+    order = ctx.order
+    read = {order - 1} | {-e % order for p in (g.reduced_num, g.reduced_den)
+                          for e in p.exponents()}
+    other = next(k for k in range(order) if k not in read)
+    first = -g.reduced_num.degree % order
+    exp[[first, other]] = exp[[other, first]]
     oracle._ramification_table.cache_clear()
     try:
         with pytest.raises(AssertionError, match="ramification closure mismatch"):
@@ -981,14 +1024,20 @@ def test_residual_of_degree_one_map_is_determinant():
 
 
 def test_residual_vanishes_wherever_ramified():
+    # W(a) = 0 exactly where the index exceeds 1, at every field point: the
+    # scan takes its critical points from the zeros of W, so it needs both
+    # directions, at a multiple pole and at a double root of N too
     for m in (2, 3):
         ctx = make_field(2 * m, m)
-        for spec in all_specs(3):
-            g = g_map(spec)
+        for g in [g_map(spec) for spec in all_specs(3)] + REFERENCE_MAPS:
             for bits in range(1 << ctx.n):
                 point = ctx.elem(bits)
-                if ramification_index(g, point, ctx) > 1:
-                    assert critical_point_residual(g, point, ctx) == ctx.zero()
+                assert (critical_point_residual(g, point, ctx) == ctx.zero()) == (
+                    ramification_index(g, point, ctx) > 1)
+    # x^2 is inseparable: W is the zero polynomial, and every point ramifies
+    sq = REFERENCE_MAPS[0]
+    n, d = sq.reduced_num, sq.reduced_den
+    assert not poly_mul(poly_derivative(n), d) + poly_mul(n, poly_derivative(d))
 
 
 # -- degree-one map classifications ---------------------------------------------------
