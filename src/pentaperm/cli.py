@@ -358,8 +358,6 @@ def cmd_equiv(args, cfg: RunConfig) -> Report:
     # at m = 4 the monomial search would scan 256^4 coefficient tuples
     if args.pool == "full" and args.m > 3:
         _usage_error("full pool only supported for 2m <= 6")
-    ctx = make_field(2 * args.m, args.m)
-    pool = [ctx.elem(b) for b in range(1 << ctx.n)] if args.pool == "full" else None
     params = {"class": spec.cls, "i": spec.i, "j": spec.j, "m": args.m,
               "pool": args.pool}
     kind = "monomial" if args.m % 2 == 0 else "bivariate"
@@ -371,6 +369,10 @@ def cmd_equiv(args, cfg: RunConfig) -> Report:
     # the certificate is checked against a brute sweep: refuse before searching
     if 2 * args.m > cfg.brute_cap:
         _usage_error(f"2m = {2 * args.m} exceeds the brute cap {cfg.brute_cap}")
+    pool = None
+    if args.pool == "full":
+        ctx = make_field(2 * args.m, args.m)
+        pool = [ctx.elem(b) for b in range(1 << ctx.n)]
     search_cert = (equivalence.search_monomial_cert if kind == "monomial"
                    else equivalence.search_bivariate_cert)
     cert = search_cert(spec, args.m, pool)

@@ -115,12 +115,7 @@ def eval_f(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> FieldElem:
         raise ValueError("eval_f needs a context with subfield structure")
     if x.ctx != ctx:
         raise ValueError("element does not belong to the given context")
-    if x.bits == 0:
-        return ctx.zero()
-    acc = 0
-    for e in f_exponents(spec, ctx.subfield_m):
-        acc ^= ctx.pow(x.bits, e)
-    return ctx.elem(acc)
+    return ctx.elem(ctx.power_sum(x.bits, f_exponents(spec, ctx.subfield_m)))
 
 
 @dataclass(frozen=True)

@@ -221,11 +221,12 @@ class FieldCtx:
     def frob_q(self, a: int) -> int:
         return self.frobenius()(a)
 
-    def eval_poly_bits(self, poly_bits: int, x: int) -> int:
-        """Horner evaluation of a GF(2)[x] polynomial at the element x."""
+    def power_sum(self, x: int, exponents) -> int:
+        """xor of x^e over the exponents (0^0 = 1): the value at x of the
+        GF(2)[x] polynomial with those exponents, one pow per term."""
         acc = 0
-        for k in range(poly_bits.bit_length() - 1, -1, -1):
-            acc = self.mul(acc, x) ^ (poly_bits >> k & 1)
+        for e in exponents:
+            acc ^= self.pow(x, e)
         return acc
 
     def generator(self) -> int:

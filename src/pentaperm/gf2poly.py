@@ -135,8 +135,13 @@ class BinPoly:
         return self.bits.bit_length() - 1 if self.bits else None
 
     def exponents(self) -> tuple[int, ...]:
-        """Exponents with coefficient 1, ascending."""
-        return tuple(k for k in range(self.bits.bit_length()) if self.bits >> k & 1)
+        """Exponents with coefficient 1, ascending: one step per set bit."""
+        out, bits = [], self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(out)
 
     def to_text(self) -> str:
         if self.bits == 0:

@@ -16,24 +16,26 @@ number of times are dropped, since equal terms cancel in characteristic
 2.  A field with n <= 16 is one block.  Below 2^10 nonzero points it xors
 cached whole-group columns (g^k)^e, so repeated small sweeps cost a few
 xors; above, it xors columns over one period P | 2^n - 1 of the exponents
-and grows the sum to every log through the log and antilog tables, and a
-verdict counts the values.  A larger field reads no antilog table: columns
-sharing a step constant g^(B e) advance as one sum, one multiply per block
-of B logs; a pentanomial's first block grows from one period.  A verdict
-sweep steps the sums alone in a few buffers beside the hit bitmap, and
-checks g's order by the primes of 2^n - 1.  Every grown sum is checked at
-g^-1 against scalar powers.  Blocks are yielded as read-only views: a
-large field reuses their buffers for the next block.
+and grows the sum to every log through the log and antilog tables.  A
+larger field reads no antilog table: columns sharing a step constant
+g^(B e) advance as one sum, one multiply per block of B logs; a
+pentanomial's first block grows from one period.  A verdict sweep steps
+the sums alone in a few buffers, and checks g's order by the primes of
+2^n - 1.  At every n a verdict marks the values block by block in one hit
+bitmap.  Every grown sum is checked at g^-1 against scalar powers
+(FieldCtx.power_sum).  Blocks are yielded as read-only views: a large
+field reuses their buffers for the next block.
 
 monomials_permute remembers its verdicts in bounded LRU memos of
-_MEMO_SIZE entries, one per field degree, keyed by the reduced exponent
-tuple.  The key is exact: on nonzero x, x^e depends only on e mod 2^n - 1,
-equal terms cancel in pairs, and every exponent is at least 1, so 0 maps
-to 0.  The search's shapes share many keys at small n (45 distinct among
-35,744 calls at n = 4, 1,037 at n = 6), none at n = 10, whose 35,744
-distinct keys now evict only each other: a run makes 36,826 misses, one
-per distinct key.  A test that patches _BLOCK or _WHOLE must clear the
-memo (_sweep_permutes.cache_clear()), or its sweep may be answered from it.
+_MEMO_SIZE entries, one per field degree (_verdict_memo(n)), keyed by the
+reduced exponent tuple.  The key is exact: on nonzero x, x^e depends only
+on e mod 2^n - 1, equal terms cancel in pairs, and every exponent is at
+least 1, so 0 maps to 0.  The search's shapes share many keys at small n
+(45 distinct among 35,744 calls at n = 4, 1,037 at n = 6), none at
+n = 10, whose 35,744 distinct keys now evict only each other: a run makes
+36,826 misses, one per distinct key.  A test that patches _BLOCK or
+_WHOLE must clear the memos (_verdict_memo.cache_clear()), or its sweep
+may be answered from them.
 
 Branch points are reported as images of critical points found among the
 field points plus infinity.  A ramification scan (n <= RAMIFICATION_CAP)
@@ -53,7 +55,6 @@ x -> x^2 (where every point is critical) are reported as such.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -205,8 +206,7 @@ def _one_block_sum(ctx: FieldCtx, exps):
     values = ctx.exp_array().take(logs.reshape(-1), mode="wrap")
     if not head.all():
         values.reshape(-1, span)[:, head == 0] = 0
-    want = functools.reduce(int.__xor__, (ctx.pow(g, -e) for e in exps), 0)
-    if int(values[-1]) != want:
+    if int(values[-1]) != ctx.power_sum(ctx.inv(g), exps):
         raise AssertionError("sweep closure mismatch")
     return values
 
@@ -267,8 +267,8 @@ def _power_sum_blocks(ctx: FieldCtx, exps, *, points: bool = True):
             values = np.bitwise_xor(values, col[:size], out=acc[:size])
         yield _read_only(xs, values)
     # the last log is order - 1: a wrong step constant shows at x = g^-1
-    want = functools.reduce(int.__xor__, (ctx.pow(g, (order - 1) * e) for e in exps), 0)
-    if int(values[-1]) != want or (points and ctx.mul(int(xs[-1]), g) != 1):
+    if (int(values[-1]) != ctx.power_sum(ctx.inv(g), exps)
+            or (points and ctx.mul(int(xs[-1]), g) != 1)):
         raise AssertionError("sweep closure mismatch")
 
 
@@ -291,48 +291,27 @@ def monomials_permute(n: int, exponents, cap: int = BRUTE_CAP) -> bool:
     """
     if not 1 <= n <= cap:
         raise ValueError(f"field degree {n} outside 1 .. {cap} (the brute cap)")
-    return _sweep_permutes(n, _reduced_exponents((1 << n) - 1, exponents))
+    return _verdict_memo(n)(_reduced_exponents((1 << n) - 1, exponents))
 
 
-_MemoInfo = collections.namedtuple("_MemoInfo", "hits misses maxsize currsize")
-
-
-class _VerdictMemo(dict):
-    """One bounded LRU of _MEMO_SIZE verdicts per field degree n, so the keys
-    of one degree never evict another's; cache_info sums over degrees."""
-
-    def __missing__(self, n: int):
-        memo = self[n] = functools.lru_cache(_MEMO_SIZE)(functools.partial(_sweep, n))
-        return memo
-
-    def __call__(self, n: int, exps: tuple[int, ...]) -> bool:
-        return self[n](exps)
-
-    cache_clear = dict.clear
-
-    def cache_info(self):
-        infos = [memo.cache_info() for memo in self.values()]
-        hits, misses, _, size = (sum(column) for column in zip((0,) * 4, *infos))
-        return _MemoInfo(hits, misses, _MEMO_SIZE, size)
+@functools.cache
+def _verdict_memo(n: int):
+    """The bounded LRU of _MEMO_SIZE verdicts of field degree n: one per
+    degree, so the keys of one degree never evict another's."""
+    return functools.lru_cache(_MEMO_SIZE)(functools.partial(_sweep, n))
 
 
 def _sweep(n: int, exps: tuple[int, ...]) -> bool:
-    """The sweep behind monomials_permute: a one-block field counts its
-    values (np.bincount); a larger one marks hits block by block in
-    discrete-log order in a bitmap of size 2^n."""
+    """The sweep behind monomials_permute: marks the values block by block
+    in discrete-log order in a bitmap of size 2^n.  As 0 maps to 0, f
+    permutes iff no nonzero point hits 0 and they hit 2^n - 1 values."""
     import numpy as np
 
     ctx = make_field(n)
-    if ctx.order <= _BLOCK:
-        counts = np.bincount(_one_block_sum(ctx, exps), minlength=1 << n)
-        return bool(counts[0] == 0 and counts.max() == 1)
     bitmap = np.zeros(1 << n, dtype=bool)
     for _, values in _power_sum_blocks(ctx, exps, points=False):
         bitmap[values] = True
     return bool(not bitmap[0] and np.count_nonzero(bitmap) == ctx.order)
-
-
-_sweep_permutes = _VerdictMemo()
 
 
 def brute_is_permutation(spec: FamilySpec, m: int, cap: int = BRUTE_CAP) -> bool:
@@ -379,10 +358,10 @@ class RationalMap:
 
     def eval_bits(self, ctx: FieldCtx, x: int):
         """Reduced-form value as a bit mask, or INFINITY."""
-        den = ctx.eval_poly_bits(self.reduced_den.bits, x)
+        den = ctx.power_sum(x, self.reduced_den.exponents())
         if den == 0:
             return INFINITY
-        num = ctx.eval_poly_bits(self.reduced_num.bits, x)
+        num = ctx.power_sum(x, self.reduced_num.exponents())
         return ctx.mul(num, ctx.inv(den))
 
     def eval(self, ctx: FieldCtx, point: ProjPoint) -> ProjPoint:
@@ -582,7 +561,7 @@ def _ramification_table(g: RationalMap, ctx: FieldCtx) -> tuple:
     ks = np.arange(ctx.order)
     nvals, dvals, wvals = (_sparse_values(exp, ks, p.exponents()) for p in (num, den, wronskian))
     last = int(exp[-1])
-    scalar = tuple(ctx.eval_poly_bits(p.bits, last) for p in (num, den))
+    scalar = tuple(ctx.power_sum(last, p.exponents()) for p in (num, den))
     if ((int(nvals[-1]), int(dvals[-1])) != scalar
             or (wvals[-1] == 0) != (ramification_index(g, ctx.elem(last), ctx) > 1)):
         raise AssertionError("ramification closure mismatch")

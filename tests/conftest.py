@@ -34,6 +34,16 @@ def power_sum_table(ctx, exponents):
     return oracle._power_sum_array(ctx, exponents).tolist()
 
 
+def horner(ctx, poly_bits, x):
+    """Horner evaluation of a GF(2)[x] polynomial, given as its bit mask, at the
+    element x: one multiply per bit below the degree.  The reference for
+    FieldCtx.power_sum."""
+    acc = 0
+    for k in range(poly_bits.bit_length() - 1, -1, -1):
+        acc = ctx.mul(acc, x) ^ (poly_bits >> k & 1)
+    return acc
+
+
 def unit_circle(ctx):
     """All q + 1 solutions of x^(q+1) = 1 in GF(q^2), as elements in bit-ascending order."""
     return [ctx.elem(b) for b in sorted(ctx._subgroup((1 << ctx.subfield_m) + 1).tolist())]

@@ -564,6 +564,23 @@ def test_equiv_full_pool_above_2m_6_refused_before_field_work(monkeypatch, capsy
     assert "full pool only supported for 2m <= 6" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    ("--class A --i 2 --j 1 --m 21", 1,
+     "r = 3 > 0: no bivariate decomposition exists for odd m\n", ""),
+    ("--class A --i 1 --j 1 --m 21", 2, "", "error: 2m = 42 exceeds the brute cap 24\n"),
+])
+def test_equiv_answers_before_building_the_field(argv, code, out, err, monkeypatch, capsys):
+    # GF(2^42) is past make_field's degree cap: the r > 0 record and the
+    # brute-cap refusal must not wait for a field the search pool never needs
+    monkeypatch.setattr("pentaperm.cli.make_field", _fail_if_called)
+    try:
+        got = main(["equiv", *argv.split()])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.parametrize("argv", ["check --class B --i 5 --j 6 --m 0",
                                   "gcheck --class B --i 5 --j 6 --m 0",
                                   "equiv --class B --i 5 --j 6 --m 0",

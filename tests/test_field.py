@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import inv_array, mul_array, subfield_inverse, unit_circle
+from conftest import horner, inv_array, mul_array, subfield_inverse, unit_circle
 from pentaperm import field
 from pentaperm.field import (
     CANONICAL_MODULUS,
@@ -400,6 +400,18 @@ def test_field_axioms(n, data):
     if a:
         assert mul(a, ctx.inv(a)) == 1
     assert ctx.pow(a, e1 + e2) == mul(ctx.pow(a, e1), ctx.pow(a, e2))
+
+
+@given(n=ARRAY_DEGREES, data=st.data())
+def test_power_sum_is_horner(n, data):
+    # log tables at n <= 16, clmul + fold above; degrees up to 2n + 1 pass the
+    # group order, and x = 0 meets the constant term (0^0 = 1)
+    ctx = make_field(n)
+    polys = [0, 1, 0b11] + data.draw(st.lists(st.integers(0, (1 << 2 * n + 2) - 1), max_size=3))
+    xs = [0, 1, ctx.order] + data.draw(st.lists(st.integers(0, ctx.order), max_size=3))
+    for p in polys:
+        for x in xs:
+            assert ctx.power_sum(x, BinPoly(p).exponents()) == horner(ctx, p, x)
 
 
 @given(n=ARRAY_DEGREES, data=st.data())

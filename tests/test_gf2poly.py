@@ -1,9 +1,10 @@
 """Unit tests for bit-packed GF(2)[x] arithmetic."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import horner
 from pentaperm.families import FamilySpec, build_H, build_N
 from pentaperm.field import make_field, omega
 from pentaperm.gf2poly import (
@@ -65,6 +66,18 @@ def test_mul_at_word_boundaries(rng):
             for e in BinPoly(a).exponents():
                 slow ^= b << e
             assert poly_mul(BinPoly(a), BinPoly(b)).bits == slow
+
+
+@example(dense=0, sparse={0, 100_000})  # 2^100000 + 1
+@example(dense=1, sparse=set())
+@example(dense=(1 << 300) - 1, sparse={100_000})
+@given(dense=st.integers(0, (1 << 300) - 1), sparse=st.sets(st.integers(0, 100_000), max_size=4))
+def test_exponents_walk_the_set_bits(dense, sparse):
+    # the bit scan reads every bit below the degree: the reference on dense inputs
+    scan = tuple(k for k in range(dense.bit_length()) if dense >> k & 1)
+    assert BinPoly(dense).exponents() == scan
+    # a few set bits far apart, such as 2^100000 + 1: the drawn exponents
+    assert BinPoly(sum(1 << e for e in sparse)).exponents() == tuple(sorted(sparse))
 
 
 def test_gcd_q_divides_cube():
@@ -167,14 +180,15 @@ def test_q_multiplicity_rejects_zero():
 
 def test_eval_q_at_zero_and_omega():
     ctx = make_field(4, 2)
-    assert ctx.eval_poly_bits(Q.bits, 0) == 1
-    assert ctx.eval_poly_bits(Q.bits, omega(ctx).bits) == 0
+    w = omega(ctx).bits
+    assert horner(ctx, Q.bits, 0) == ctx.power_sum(0, Q.exponents()) == 1
+    assert horner(ctx, Q.bits, w) == ctx.power_sum(w, Q.exponents()) == 0
 
 
 def test_eval_family_at_one():
     ctx = make_field(4, 2)
     h = build_H(FamilySpec("A", 3, 1))
-    assert ctx.eval_poly_bits(h.bits, 1) == 1
+    assert horner(ctx, h.bits, 1) == ctx.power_sum(1, h.exponents()) == 1
 
 
 def test_divmod_reconstructs(rng):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_specs, inv_array, mul_array, power_sum_table, unit_circle
+from conftest import all_specs, horner, inv_array, mul_array, power_sum_table, unit_circle
 from pentaperm import field, oracle
 from pentaperm.families import FamilySpec, eval_f, f_exponents
 from pentaperm.field import FieldCtx, FieldElem, make_field, omega
@@ -47,12 +47,12 @@ def sweep_block(block, whole=oracle._WHOLE):
     """Sweep in blocks of the given size, one-block fields growing their sums
     from one period at `whole` nonzero points and above, with the verdict
     memo cleared on entry and exit, so that no verdict of another route answers."""
-    oracle._sweep_permutes.cache_clear()
+    oracle._verdict_memo.cache_clear()
     try:
         with mock.patch.object(oracle, "_BLOCK", block), mock.patch.object(oracle, "_WHOLE", whole):
             yield
     finally:
-        oracle._sweep_permutes.cache_clear()
+        oracle._verdict_memo.cache_clear()
 
 
 def test_squaring_is_a_permutation():
@@ -123,7 +123,7 @@ def assert_verdict_is_enumeration(n, exps, **bounds):
     want = permutes_by_enumeration(n, exps)
     with sweep_block(**bounds):
         assert monomials_permute(n, exps) == want
-        assert oracle._sweep_permutes.cache_info().misses == 1  # swept, not recalled
+        assert oracle._verdict_memo(n).cache_info().misses == 1  # swept, not recalled
         # the bit-order table holds 2^n distinct values exactly when f permutes
         table = oracle._power_sum_array(make_field(n), exps)
         assert (len(np.unique(table)) == 1 << n) == want
@@ -175,27 +175,28 @@ def test_lists_with_one_memo_key_share_one_verdict(n, data):
         exps + [pair, pair + order],
     ]
     assert len({oracle._reduced_exponents(order, v) for v in variants}) == 1
-    oracle._sweep_permutes.cache_clear()
+    oracle._verdict_memo.cache_clear()
     verdicts = [monomials_permute(n, v) for v in variants]
-    assert oracle._sweep_permutes.cache_info().misses == 1
+    assert oracle._verdict_memo(n).cache_info().misses == 1
     assert verdicts == [permutes_by_enumeration(n, v) for v in variants]
 
 
 def test_verdict_memo_is_bounded():
-    assert oracle._sweep_permutes.cache_info().maxsize == oracle._MEMO_SIZE is not None
+    for n in (1, 10, 24):
+        assert oracle._verdict_memo(n).cache_info().maxsize == oracle._MEMO_SIZE is not None
 
 
 def test_verdict_memo_is_per_degree():
     # more distinct n = 6 keys than one memo holds do not evict an n = 4 verdict
-    oracle._sweep_permutes.cache_clear()
+    oracle._verdict_memo.cache_clear()
     monomials_permute(4, [1])
     pairs = itertools.islice(itertools.combinations(range(1, 63), 2), oracle._MEMO_SIZE + 1)
     for pair in pairs:
         monomials_permute(6, pair)
-    misses = oracle._sweep_permutes.cache_info().misses
-    assert misses == oracle._MEMO_SIZE + 2
+    assert oracle._verdict_memo(6).cache_info().misses == oracle._MEMO_SIZE + 1
+    assert oracle._verdict_memo(4).cache_info().misses == 1
     monomials_permute(4, [1])
-    assert oracle._sweep_permutes.cache_info().misses == misses
+    assert oracle._verdict_memo(4).cache_info().misses == 1
 
 
 @pytest.mark.parametrize("verdict", [
@@ -985,10 +986,10 @@ def critical_point_residual(g: RationalMap, alpha: FieldElem, ctx: FieldCtx) -> 
     oracle._check_owner(ctx, alpha)
     a = alpha.bits
     n, d = g.reduced_num, g.reduced_den
-    nv = ctx.eval_poly_bits(n.bits, a)
-    dv = ctx.eval_poly_bits(d.bits, a)
-    npv = ctx.eval_poly_bits(poly_derivative(n).bits, a)
-    dpv = ctx.eval_poly_bits(poly_derivative(d).bits, a)
+    nv = horner(ctx, n.bits, a)
+    dv = horner(ctx, d.bits, a)
+    npv = horner(ctx, poly_derivative(n).bits, a)
+    dpv = horner(ctx, poly_derivative(d).bits, a)
     return ctx.elem(ctx.mul(npv, dv) ^ ctx.mul(nv, dpv))
 
 

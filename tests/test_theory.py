@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_specs, unit_circle
+from conftest import all_specs, horner, unit_circle
 from pentaperm.families import FamilySpec, match_row, table1_registry
 from pentaperm.field import make_field
 from pentaperm import theory
@@ -98,7 +98,7 @@ def test_h_unit_roots_against_brute_scan():
         circle = unit_circle(ctx)
         for spec in all_specs(4):
             h = build_H(spec)
-            has_root = any(ctx.eval_poly_bits(h.bits, x.bits) == 0 for x in circle)
+            has_root = any(horner(ctx, h.bits, x.bits) == 0 for x in circle)
             assert has_root == h_unit_roots_exist(spec, m)
 
 
