@@ -7,13 +7,9 @@ independent brute-force oracles at desk scale.
 
 from .families import (
     FamilySpec,
-    GeneralPentanomial,
+    Shape,
     Table1Row,
-    build_H,
-    build_N,
     eval_f,
-    f_exponent_pairs,
-    f_exponents,
     gcd_condition,
     match_row,
     table1_registry,

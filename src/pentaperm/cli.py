@@ -212,12 +212,9 @@ def _row_report(row, m_range, brute, cfg) -> dict:
     if brute and m_range is not None:
         agreement = {}
         for m in m_range:
-            b = oracle.brute_is_permutation(resolved, m, cap=cfg.brute_cap) \
-                if resolved is not None else \
-                oracle.monomials_permute(2 * m, row.shape().exponents(m), cap=cfg.brute_cap)
             want = (theory.theorem_verdict(resolved, m).predicted
                     if resolved is not None else row.condition_holds(m))
-            agreement[m] = (b == want)
+            agreement[m] = oracle.brute_is_permutation(row, m, cap=cfg.brute_cap) == want
         report["brute_agreement"] = agreement
     return report
 

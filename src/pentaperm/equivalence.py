@@ -37,7 +37,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .families import FamilySpec, eval_f, f_exponents
+from .families import FamilySpec, eval_f
 from .field import FieldCtx, FieldElem, LinearMap, make_field, omega
 from .oracle import _power_sum_array, _power_sum_blocks, _reduced_exponents
 from .theory import r_closed_form
@@ -124,7 +124,7 @@ def _replay_mismatch(ctx, spec: FamilySpec, ptab, terms, limit: int) -> bool:
     block with a mismatch.  x = 0 needs no care: linear maps fix 0, and
     f(0) = 0^e = 0.
     """
-    exps = _reduced_exponents(ctx.order, f_exponents(spec, ctx.subfield_m))
+    exps = _reduced_exponents(ctx.order, spec.shape().exponents(ctx.subfield_m))
     for xs, diff in _power_sum_blocks(ctx, exps):
         if limit < 1 << ctx.n:
             keep = xs < limit

@@ -1,9 +1,13 @@
 """The three pentanomial families over GF(2^(2m)) and the 17-row registry.
 
-A family is fixed by a class letter and two exponents (i, j); writing
-Q1 = 2^i, Q2 = 2^j and t = Q1 + Q2 + 1, the pentanomial is
-f(x) = x^t * H(x^(q-1)) for the class polynomial H below, with
-N(x) = x^t * H(1/x) its reversal.  The registry stores the published
+Every polynomial here is a Shape (t, H): f(x) = x^t * H(x^(q-1)) with
+H = 1 + sum of x^r over strictly increasing r in [1, t], and
+N(x) = x^t * H(1/x) its reversal.  On the unit circle z^(q+1) = 1,
+N(z) = z^t H(z)^q, so every root of H there is a root of N, and a shape
+with coprime H and N (gcd_condition) has none.  A family is fixed by a
+class letter and two exponents (i, j); writing Q1 = 2^i, Q2 = 2^j and
+t = Q1 + Q2 + 1, FamilySpec.shape() holds its class polynomial H, in
+which equal exponents cancel when i = j.  The registry stores the published
 17-row table as literal data (exponent pairs, condition column, class
 columns) so that resolution back to a FamilySpec is computed, never
 hard-coded, and transcription slips stay visible.
@@ -15,17 +19,13 @@ import json
 from dataclasses import dataclass
 
 from .field import FieldCtx, FieldElem
-from .gf2poly import BinPoly, poly_gcd, poly_reverse
+from .gf2poly import BinPoly, poly_gcd
 
 __all__ = [
     "CLASSES",
     "FamilySpec",
-    "GeneralPentanomial",
+    "Shape",
     "Table1Row",
-    "build_H",
-    "build_N",
-    "f_exponent_pairs",
-    "f_exponents",
     "eval_f",
     "gcd_condition",
     "table1_registry",
@@ -67,47 +67,21 @@ class FamilySpec:
     def __repr__(self):
         return f"FamilySpec({self.cls}, i={self.i}, j={self.j})"
 
-
-def build_H(spec: FamilySpec) -> BinPoly:
-    """Class polynomial H; coinciding exponents cancel (characteristic 2)."""
-    q1, q2 = spec.q1, spec.q2
-    if spec.cls == "A":
-        exps = (q1 + q2, q1 + 1, q2 + 1, 1, 0)
-    elif spec.cls == "B":
-        exps = (q1 + q2, q1 + 1, q1, q2 + 1, 0)
-    else:
-        exps = (q1 + q2 + 1, q1, q2, 1, 0)
-    return BinPoly.from_exponents(exps)
-
-
-def build_N(spec: FamilySpec) -> BinPoly:
-    """Numerator N = x^t * H(1/x)."""
-    return poly_reverse(build_H(spec), spec.t)
+    def shape(self) -> Shape:
+        """The class polynomial H as a shape; coinciding exponents cancel
+        (characteristic 2), so i = j leaves two r."""
+        q1, q2 = self.q1, self.q2
+        if self.cls == "A":
+            rs = (q1 + q2, q1 + 1, q2 + 1, 1)
+        elif self.cls == "B":
+            rs = (q1 + q2, q1 + 1, q1, q2 + 1)
+        else:
+            rs = (q1 + q2 + 1, q1, q2, 1)
+        return Shape(self.t, BinPoly.from_exponents(rs).exponents())
 
 
-def f_exponent_pairs(spec: FamilySpec) -> tuple[tuple[int, int], ...]:
-    """The five (a, b) pairs meaning x^(a*q+b), sorted descending by pair.
-
-    Pairs can repeat when i = j; repeated monomials cancel in the field.
-    """
-    q1, q2, t = spec.q1, spec.q2, spec.t
-    if spec.cls == "A":
-        pairs = [(q1 + q2, 1), (q1 + 1, q2), (q2 + 1, q1), (1, q1 + q2), (0, t)]
-    elif spec.cls == "B":
-        pairs = [(q1 + q2, 1), (q1 + 1, q2), (q1, q2 + 1), (q2 + 1, q1), (0, t)]
-    else:
-        pairs = [(t, 0), (q1, q2 + 1), (q2, q1 + 1), (1, q1 + q2), (0, t)]
-    return tuple(sorted(pairs, reverse=True))
-
-
-def f_exponents(spec: FamilySpec, m: int) -> tuple[int, ...]:
-    """The five exponents with q = 2^m substituted, sorted descending."""
-    q = 1 << m
-    return tuple(sorted((a * q + b for a, b in f_exponent_pairs(spec)), reverse=True))
-
-
-def eval_f(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> FieldElem:
-    """Evaluate the pentanomial as a monomial sum; f(0) = 0.
+def eval_f(spec: FamilySpec | Shape, ctx: FieldCtx, x: FieldElem) -> FieldElem:
+    """Evaluate the pentanomial of spec's shape as a monomial sum; f(0) = 0.
 
     Exponents are reduced mod 2^n - 1 before powering, so large m is safe.
     """
@@ -115,43 +89,58 @@ def eval_f(spec: FamilySpec, ctx: FieldCtx, x: FieldElem) -> FieldElem:
         raise ValueError("eval_f needs a context with subfield structure")
     if x.ctx != ctx:
         raise ValueError("element does not belong to the given context")
-    return ctx.elem(ctx.power_sum(x.bits, f_exponents(spec, ctx.subfield_m)))
+    return ctx.elem(ctx.power_sum(x.bits, spec.shape().exponents(ctx.subfield_m)))
 
 
 @dataclass(frozen=True)
-class GeneralPentanomial:
-    """Search shape x^t + sum of x^(r_k(q-1)+t) with 1 <= r1 < .. < r4 <= t.
+class Shape:
+    """x^t * H(x^(q-1)) = x^t + sum of x^(r(q-1)+t), H = 1 + sum of x^r over
+    the strictly increasing r-tuple rs in [1, t], of any length.
 
     Any t is accepted; only SearchConfig.validate bounds the search (t_max <= 40)."""
 
     t: int
-    rs: tuple[int, int, int, int]
+    rs: tuple[int, ...]
 
     def __post_init__(self):
-        rs = self.rs
-        if len(rs) == 4 and 1 <= rs[0] < rs[1] < rs[2] < rs[3] <= self.t:
-            return
-        if len(rs) != 4 or any(a >= b for a, b in zip(rs, rs[1:])):
-            raise ValueError("r-tuple must be strictly increasing")
-        raise ValueError("r values must lie in [1, t]")
+        last = 0  # one pass, as the search builds every shape it tests
+        for r in self.rs:
+            if r <= last:
+                raise ValueError("r-tuple must be strictly increasing" if last
+                                 else "r values must lie in [1, t]")
+            last = r
+        if last > self.t:
+            raise ValueError("r values must lie in [1, t]")
+
+    def shape(self) -> Shape:
+        """The shape itself, as FamilySpec.shape() and Table1Row.shape() give one."""
+        return self
 
     def h_poly(self) -> BinPoly:
-        """H(x) = 1 + x^r1 + x^r2 + x^r3 + x^r4 (distinct bits: OR is XOR)."""
-        r1, r2, r3, r4 = self.rs
-        return BinPoly(1 | 1 << r1 | 1 << r2 | 1 << r3 | 1 << r4)
+        """H(x) = 1 + sum of x^r (distinct bits: OR is XOR)."""
+        bits = 1
+        for r in self.rs:
+            bits |= 1 << r
+        return BinPoly(bits)
 
     def n_poly(self) -> BinPoly:
         """N(x) = x^t * H(1/x)."""
-        t, (r1, r2, r3, r4) = self.t, self.rs
-        return BinPoly(1 << t | 1 << t - r1 | 1 << t - r2 | 1 << t - r3 | 1 << t - r4)
+        t = self.t
+        bits = 1 << t
+        for r in self.rs:
+            bits |= 1 << t - r
+        return BinPoly(bits)
 
     def exponents(self, m: int) -> tuple[int, ...]:
-        """Field exponents at q = 2^m: t and r_k(q-1)+t."""
-        t, (r1, r2, r3, r4), q1 = self.t, self.rs, (1 << m) - 1
-        return (t, r1 * q1 + t, r2 * q1 + t, r3 * q1 + t, r4 * q1 + t)
+        """Field exponents at q = 2^m: t and r(q-1)+t, ascending."""
+        t, q1 = self.t, (1 << m) - 1
+        out = [t]
+        for r in self.rs:
+            out.append(r * q1 + t)
+        return tuple(out)
 
 
-def gcd_condition(p: GeneralPentanomial) -> bool:
+def gcd_condition(p: Shape) -> bool:
     """The coprimality sieve: gcd(H, N) = 1 for the shape's pair."""
     return poly_gcd(p.h_poly(), p.n_poly()).bits == 1
 
@@ -178,11 +167,10 @@ class Table1Row:
     def t(self) -> int:
         return next(b for a, b in self.pairs if a == 0)
 
-    def shape(self) -> GeneralPentanomial:
+    def shape(self) -> Shape:
         """The (t, r-tuple) form; each pair (a, b) has a + b = t, r = a."""
         t = self.t
-        rs = sorted(a for a, b in self.pairs if (a, b) != (0, t))
-        return GeneralPentanomial(t, tuple(rs))
+        return Shape(t, tuple(sorted(a for a, b in self.pairs if (a, b) != (0, t))))
 
 
 def _not0(mod):
@@ -247,19 +235,13 @@ _MATCH_RANGE = 8
 
 
 def _all_matches(row: Table1Row) -> list[FamilySpec]:
-    target = sorted(row.pairs)
-    out = []
-    for cls in CLASSES:
-        for i in range(1, _MATCH_RANGE + 1):
-            for j in range(1, _MATCH_RANGE + 1):
-                spec = FamilySpec(cls, i, j)
-                if sorted(f_exponent_pairs(spec)) == target:
-                    out.append(spec)
-    return out
+    target, span = row.shape(), range(1, _MATCH_RANGE + 1)
+    specs = (FamilySpec(cls, i, j) for cls in CLASSES for i in span for j in span)
+    return [spec for spec in specs if spec.shape() == target]
 
 
 def match_row(row: Table1Row) -> FamilySpec | None:
-    """Resolve a row to a FamilySpec by exact exponent-multiset equality.
+    """Resolve a row to a FamilySpec by equality of shapes.
 
     Classes A and C are symmetric in (i, j), so a row can match twice; the
     printed (class, i, j) columns break the tie when they are themselves a

@@ -59,7 +59,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .families import FamilySpec, build_H, build_N, f_exponents
+from .families import FamilySpec, Shape, Table1Row
 from .field import _CHUNK, FieldCtx, FieldElem, LinearMap, make_field
 from .gf2poly import BinPoly, poly_derivative, poly_divmod, poly_gcd, poly_mul, poly_reverse
 from .intarith import prime_factors
@@ -85,6 +85,8 @@ __all__ = [
 BRUTE_CAP = 24  # largest field degree 2m swept exhaustively by default
 MU_CAP = 20  # largest m whose unit circle is enumerated
 RAMIFICATION_CAP = 16  # largest field degree 2m scanned for critical points
+# What the oracles read a Shape from: a family member, a table row or a shape.
+Shaped = FamilySpec | Table1Row | Shape
 
 
 class _Infinity:
@@ -314,11 +316,11 @@ def _sweep(n: int, exps: tuple[int, ...]) -> bool:
     return bool(not bitmap[0] and np.count_nonzero(bitmap) == ctx.order)
 
 
-def brute_is_permutation(spec: FamilySpec, m: int, cap: int = BRUTE_CAP) -> bool:
-    """Exhaustive permutation test of the family member over GF(2^(2m))."""
+def brute_is_permutation(x: Shaped, m: int, cap: int = BRUTE_CAP) -> bool:
+    """Exhaustive permutation test of x's shape over GF(2^(2m))."""
     if 2 * m > cap:
         raise ValueError(f"2m = {2 * m} exceeds the brute cap {cap}")
-    return monomials_permute(2 * m, f_exponents(spec, m), cap=cap)
+    return monomials_permute(2 * m, x.shape().exponents(m), cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +379,10 @@ class RationalMap:
             poly_reverse(self.reduced_num, d), poly_reverse(self.reduced_den, d))
 
 
-def g_map(spec: FamilySpec) -> RationalMap:
-    """g = N/H for the family member, reduced by gcd(N, H) = Q^r."""
-    return RationalMap.make(build_N(spec), build_H(spec))
+def g_map(x: Shaped) -> RationalMap:
+    """g = N/H for x's shape, reduced by gcd(N, H) (Q^r for a family member)."""
+    shape = x.shape()
+    return RationalMap.make(shape.n_poly(), shape.h_poly())
 
 
 def _sparse_values(table, ks, exps):
@@ -466,31 +469,34 @@ def _polar(ctx: FieldCtx, ys):
     return index[key], lead
 
 
-def g_permutes_unit_circle(spec: FamilySpec, m: int) -> bool:
-    """Whether the reduced g maps the unit circle bijectively onto itself.
+def g_permutes_unit_circle(x: Shaped, m: int) -> bool:
+    """Whether the reduced g of x's shape maps the unit circle bijectively
+    onto itself.
 
-    The circle is cyclic of order q+1, so the five-term N and H restrict
-    to lookups in a (q+1)-entry power table, taken in _SLICE slices.  In
+    The circle is cyclic of order q+1, so N and H restrict to lookups in
+    a (q+1)-entry power table, taken in _SLICE slices.  In
     polar form y = lambda zeta^i (_polar), N/H lies on the circle iff
     lambda(N) = lambda(H), and is then zeta^(i(N) - i(H)): g permutes the
     circle iff every lambda matches and i(N) - i(H) mod q + 1 hits every
     residue.  Only the roots of H on the circle need the reduced
     polynomials directly; a pole there, or a zero of g, answers False.
+    Such a root is a root of N too (N(z) = z^t H(z)^q on the circle), so
+    a shape with coprime N and H has none.
     """
     import numpy as np
 
     if m > MU_CAP:
         raise ValueError(f"m = {m} exceeds the unit-circle cap {MU_CAP}")
     ctx = make_field(2 * m, m)
-    gmap = g_map(spec)
+    gmap = g_map(x)
     ztab = _unit_circle_table(ctx)
     exps = [p.exponents() for p in (gmap.num, gmap.den)]
     hits = np.zeros(len(ztab), dtype=bool)
     for lo in range(0, len(ztab), _SLICE):
         ks = np.arange(lo, min(lo + _SLICE, len(ztab)), dtype=np.int64)
         nvals, hvals = (_sparse_values(ztab, ks, e) for e in exps)
-        # roots of H take the reduced form: at most two are roots of N too, and
-        # at any other the reduced denominator vanishes, so g hits infinity
+        # roots of H are roots of N too: the reduced form gives g there, and
+        # a pole where H holds the root more often than N
         for k in np.flatnonzero(hvals == 0).tolist():
             red = gmap.eval_bits(ctx, int(ztab[lo + k]))
             if red is INFINITY:
@@ -590,15 +596,15 @@ def fiber_indices(g: RationalMap, beta: ProjPoint, ctx: FieldCtx) -> list[int]:
     return sorted(ramified + [1] * (size - len(ramified)))
 
 
-def ramification_profile(spec: FamilySpec, ctx: FieldCtx) -> dict:
+def ramification_profile(x: Shaped, ctx: FieldCtx) -> dict:
     """Map each branch point to the sorted indices over its concrete fiber."""
-    g = g_map(spec)
+    g = g_map(x)
     # keys in the branch set's iteration order: gcheck's output follows it
     return {beta: fiber_indices(g, beta, ctx) for beta in branch_points_of_map(g, ctx)}
 
 
-def ramification_report(spec: FamilySpec, ctx: FieldCtx) -> list[dict]:
+def ramification_report(x: Shaped, ctx: FieldCtx) -> list[dict]:
     """JSON-renderable critical-point report: point, index, image."""
     return [{"point": "inf" if point is INFINITY else point.hex(), "index": e,
              "image": "inf" if image is INFINITY else image.hex()}
-            for point, image, e in _ramification_table(g_map(spec), ctx)[2]]
+            for point, image, e in _ramification_table(g_map(x), ctx)[2]]

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .families import GeneralPentanomial, gcd_condition, table1_registry
+from .families import Shape, gcd_condition, table1_registry
 from .oracle import monomials_permute
 
 __all__ = [
@@ -69,7 +69,7 @@ class SearchConfig:
 class Candidate:
     """A sieve survivor with its full per-m permutation record."""
 
-    shape: GeneralPentanomial
+    shape: Shape
     survived_m: tuple[int, ...]
     matched_row: int | None = None
 
@@ -77,12 +77,12 @@ class Candidate:
         return (self.shape.t, self.shape.rs)
 
 
-def _search_block(args) -> list[tuple[GeneralPentanomial, tuple[int, ...]]]:
+def _search_block(args) -> list[tuple[Shape, tuple[int, ...]]]:
     t_values, m_list = args
     found = []
     for t in t_values:
         for rs in combinations(range(1, t + 1), 4):
-            shape = GeneralPentanomial(t, rs)
+            shape = Shape(t, rs)
             if not gcd_condition(shape):
                 continue
             survived = tuple(

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .families import FamilySpec, build_H, build_N
+from .families import FamilySpec
 from .gf2poly import Q, poly_derivative, poly_gcd, poly_mul, q_multiplicity
 from .intarith import multiplicative_order, prime_factors
 
@@ -106,7 +106,8 @@ def r_oracle(spec: FamilySpec) -> int:
     Raises PropertyViolation if the gcd is not exactly a power of Q; that
     would falsify the structure theory and must never pass silently.
     """
-    g = poly_gcd(build_N(spec), build_H(spec))
+    shape = spec.shape()
+    g = poly_gcd(shape.n_poly(), shape.h_poly())
     r = q_multiplicity(g)
     if Q**r != g:
         raise PropertyViolation(
@@ -257,13 +258,15 @@ def m_condition(spec: FamilySpec) -> MCondition:
 
 def verify_identity_derivative(spec: FamilySpec) -> bool:
     """Exact check of N'H + NH' = Q^(Q1+Q2) in GF(2)[x]."""
-    n, h = build_N(spec), build_H(spec)
+    shape = spec.shape()
+    n, h = shape.n_poly(), shape.h_poly()
     lhs = poly_mul(poly_derivative(n), h) + poly_mul(n, poly_derivative(h))
     return lhs == Q ** (spec.t - 1)
 
 
 def verify_identity_Q(spec: FamilySpec) -> bool:
     """Exact check of N^2 + NH + H^2 = Q^(Q1+Q2+1), i.e. Q(g)H^2 cleared."""
-    n, h = build_N(spec), build_H(spec)
+    shape = spec.shape()
+    n, h = shape.n_poly(), shape.h_poly()
     lhs = poly_mul(n, n) + poly_mul(n, h) + poly_mul(h, h)
     return lhs == Q**spec.t

@@ -29,6 +29,20 @@ def rng():
     return random.Random(0x5EED)
 
 
+def f_exponent_pairs(spec):
+    """The paper's five (a, b) pairs of the family member, meaning x^(a*q+b),
+    sorted descending: the reference for FamilySpec.shape().  Pairs repeat
+    when i = j; repeated monomials cancel in the field."""
+    q1, q2, t = spec.q1, spec.q2, spec.t
+    if spec.cls == "A":
+        pairs = [(q1 + q2, 1), (q1 + 1, q2), (q2 + 1, q1), (1, q1 + q2), (0, t)]
+    elif spec.cls == "B":
+        pairs = [(q1 + q2, 1), (q1 + 1, q2), (q1, q2 + 1), (q2 + 1, q1), (0, t)]
+    else:
+        pairs = [(t, 0), (q1, q2 + 1), (q2, q1 + 1), (1, q1 + q2), (0, t)]
+    return tuple(sorted(pairs, reverse=True))
+
+
 def power_sum_table(ctx, exponents):
     """xor of x^e over the positive exponents at every x, indexed by x's bit mask."""
     return oracle._power_sum_array(ctx, exponents).tolist()

@@ -167,15 +167,13 @@ def test_criterion_4_identity_suite():
 def test_criterion_5_gcd_structure():
     """gcd(N, H) is exactly Q^r with r matching the corrected closed form,
     for all 192 specs; the two display corrections are flagged."""
-    from pentaperm.families import build_H, build_N
-
     failures = []
     for spec in all_specs(8):
         oracle_r = r_oracle(spec)  # raises if the gcd is not a Q power
         closed = r_closed_form(spec)
         if oracle_r != closed:
             failures.append((spec, oracle_r, closed))
-        if poly_gcd(build_N(spec), build_H(spec)) != Q**oracle_r:
+        if poly_gcd(spec.shape().n_poly(), spec.shape().h_poly()) != Q**oracle_r:
             failures.append((spec, "gcd not exactly Q^r"))
     flags_ok = (len(R_DISPLAY_NOTES) == 2
                 and "r_A" in R_DISPLAY_NOTES[0] and "r_C" in R_DISPLAY_NOTES[1])

@@ -21,7 +21,7 @@ from pentaperm.equivalence import (
     verify_bivariate_cert,
     verify_monomial_cert,
 )
-from pentaperm.families import FamilySpec, f_exponents
+from pentaperm.families import FamilySpec
 from pentaperm.field import FieldCtx, make_field, omega
 from pentaperm.oracle import _power_sum_array, brute_is_permutation
 from pentaperm.theory import r_closed_form
@@ -305,7 +305,7 @@ def bivariate_search_scan(spec, m, pool):
     outside GF(q)) in pool order, that replays point by point."""
     ctx = make_field(2 * m, m)
     bits = [p.bits for p in pool]
-    fvals = power_sum_table(ctx, f_exponents(spec, m))
+    fvals = power_sum_table(ctx, spec.shape().exponents(m))
     zeros = [0] * (1 << ctx.n)  # with d1 = d2 = 0 only structure can fail
     ratios = {(d1, d2): ctx.mul(d2, ctx.inv(d1))
               for d1, d2 in itertools.product(bits, repeat=2) if d1 and d2}
@@ -346,7 +346,7 @@ def test_monomial_replay_equals_pointwise_on_f4_pool(m):
     ctx = make_field(2 * m, m)
     pool = [p.bits for p in f4_pool(ctx)]
     for spec in REPLAY_SPECS:
-        fvals = power_sum_table(ctx, f_exponents(spec, m))
+        fvals = power_sum_table(ctx, spec.shape().exponents(m))
         for e in (monomial_exponent(spec, m), spec.t):
             ptab = _power_sum_array(ctx, [e])
             for tup in itertools.product(pool, repeat=4):
@@ -359,7 +359,7 @@ def test_monomial_replay_equals_pointwise(data, m, spec):
     ctx = make_field(2 * m, m)
     tup = data.draw(st.tuples(*[st.integers(0, ctx.order)] * 4))
     e = data.draw(st.sampled_from([monomial_exponent(spec, m), spec.t]))
-    fvals = power_sum_table(ctx, f_exponents(spec, m))
+    fvals = power_sum_table(ctx, spec.shape().exponents(m))
     got = _monomial_replay_matches(ctx, spec, _power_sum_array(ctx, [e]), *tup)
     assert got == monomial_matches_pointwise(ctx, fvals, *tup, e)
 
@@ -371,7 +371,7 @@ def test_bivariate_replay_equals_pointwise(data, m, spec):
     # c x^q + c' x lands in GF(q) iff c = c'^q: take that half the time
     c1, c3 = (_frob(ctx, c_) if data.draw(st.booleans()) else c for c, c_ in ((c1, c2), (c3, c4)))
     tup = c1, c2, c3, c4, d1, d2
-    fvals = power_sum_table(ctx, f_exponents(spec, m))
+    fvals = power_sum_table(ctx, spec.shape().exponents(m))
     want, _ = bivariate_status_pointwise(ctx, fvals, *tup, spec.t)
     # _bivariate_status replays below the first structural failure
     ptab = _power_sum_array(ctx, [spec.t])
@@ -384,7 +384,7 @@ def test_bivariate_replay_equals_pointwise_on_f4_pool(m):
     pool = [p.bits for p in f4_pool(ctx)]
     statuses = set()
     for spec in REPLAY_SPECS[:2]:
-        exps = f_exponents(spec, m)
+        exps = spec.shape().exponents(m)
         fvals = power_sum_table(ctx, exps)
         ptab = _power_sum_array(ctx, [spec.t])
         for tup in itertools.product(pool, repeat=6):
@@ -405,7 +405,7 @@ def test_first_structural_failure_is_at_a_power_of_two():
     cases = [(c, _frob(ctx, c), c, _frob(ctx, c)) for c in range(1 << ctx.n)]
     cases += [(0, c, w2, w) for c in range(1 << ctx.n)]
     zeros = [0] * (1 << ctx.n)  # with d1 = d2 = 0 nothing mismatches
-    fvals = power_sum_table(ctx, f_exponents(FAMILY17, m))
+    fvals = power_sum_table(ctx, FAMILY17.shape().exponents(m))
     ptab = _power_sum_array(ctx, [97])
     late = set()
     for c1, c2, c3, c4 in cases:

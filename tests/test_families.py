@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_specs
+from conftest import all_specs, f_exponent_pairs
+from pentaperm import oracle
 from pentaperm.families import (
     FamilySpec,
-    GeneralPentanomial,
-    build_H,
-    build_N,
+    Shape,
     eval_f,
-    f_exponent_pairs,
-    f_exponents,
     gcd_condition,
     match_row,
     registry_as_json,
@@ -30,21 +27,30 @@ def P(text):
     return BinPoly.from_text(text)
 
 
+def H(spec):
+    return spec.shape().h_poly()
+
+
+def N(spec):
+    return spec.shape().n_poly()
+
+
 def test_build_H_row2_read_back():
-    assert build_H(FamilySpec("A", 3, 1)) == P("x^10+x^9+x^3+x+1")
+    assert H(FamilySpec("A", 3, 1)) == P("x^10+x^9+x^3+x+1")
 
 
 def test_build_H_cancellation_at_equal_exponents():
     # the two middle terms coincide and cancel when i = j
-    assert build_H(FamilySpec("A", 1, 1)) == P("x^4+x+1")
+    assert H(FamilySpec("A", 1, 1)) == P("x^4+x+1")
+    assert FamilySpec("A", 1, 1).shape() == Shape(5, (1, 4))
 
 
 def test_build_H_row17():
-    assert build_H(FamilySpec("B", 5, 6)) == P("x^96+x^65+x^33+x^32+1")
+    assert H(FamilySpec("B", 5, 6)) == P("x^96+x^65+x^33+x^32+1")
 
 
 def test_build_N_row2():
-    assert build_N(FamilySpec("A", 3, 1)) == P("x^11+x^10+x^8+x^2+x")
+    assert N(FamilySpec("A", 3, 1)) == P("x^11+x^10+x^8+x^2+x")
 
 
 def test_build_N_class_C_pattern():
@@ -53,18 +59,40 @@ def test_build_N_class_C_pattern():
         spec = FamilySpec("C", i, j)
         expect = BinPoly.from_exponents(
             (0, spec.q1 + 1, spec.q2 + 1, spec.q1 + spec.q2, spec.t))
-        assert build_N(spec) == expect
+        assert N(spec) == expect
 
 
 def test_build_N_is_reversal_at_t():
     for spec in all_specs(8):
-        assert build_N(spec) == poly_reverse(build_H(spec), spec.t)
+        assert N(spec) == poly_reverse(H(spec), spec.t)
 
 
 def test_deg_N_equals_t_for_distinct_exponents():
     for spec in all_specs(6):
         if spec.i != spec.j:
-            assert build_N(spec).degree == spec.t
+            assert N(spec).degree == spec.t
+
+
+def _pairs_shape(pairs):
+    """The shape read off the paper's exponent pairs: H is the xor of x^a."""
+    t = next(b for a, b in pairs if a == 0)
+    h = BinPoly.from_exponents(a for a, _ in pairs).exponents()
+    assert h[0] == 0
+    return Shape(t, h[1:])
+
+
+def test_family_shapes_equal_the_paper_pairs():
+    # every pair has a + b = t, H is the xor of x^a, and f has the same
+    # monomials mod 2^(2m) - 1 (equal terms cancel) for every CLI spec
+    for spec in all_specs(12):
+        pairs = f_exponent_pairs(spec)
+        assert all(a + b == spec.t for a, b in pairs)
+        shape = spec.shape()
+        assert shape == _pairs_shape(pairs)
+        for m in range(1, 31):
+            q, order = 1 << m, (1 << 2 * m) - 1
+            assert (oracle._reduced_exponents(order, shape.exponents(m))
+                    == oracle._reduced_exponents(order, [a * q + b for a, b in pairs]))
 
 
 @pytest.mark.parametrize("spec,pairs", [
@@ -73,12 +101,13 @@ def test_deg_N_equals_t_for_distinct_exponents():
     (FamilySpec("C", 4, 2), {(21, 0), (16, 5), (4, 17), (1, 20), (0, 21)}),
 ])
 def test_f_exponent_pairs(spec, pairs):
-    assert set(f_exponent_pairs(spec)) == pairs
+    shape = spec.shape()
+    assert {(r, shape.t - r) for r in (0,) + shape.rs} == pairs
 
 
 def test_f_exponents_substitutes_q():
     spec = FamilySpec("A", 3, 1)
-    assert f_exponents(spec, 2) == (41, 38, 20, 14, 11)
+    assert spec.shape().exponents(2) == (11, 14, 20, 38, 41)
 
 
 def test_eval_f_fixed_points():
@@ -95,7 +124,7 @@ def _h_route(spec, ctx, x):
     q = 1 << ctx.subfield_m
     y = ctx.pow(x.bits, q - 1)
     h_val = 0
-    for e in build_H(spec).exponents():
+    for e in H(spec).exponents():
         h_val ^= ctx.pow(y, e)
     return ctx.elem(ctx.mul(ctx.pow(x.bits, spec.t), h_val))
 
@@ -104,10 +133,10 @@ def test_eval_f_dual_route_exhaustive():
     # monomial-sum route equals the x^t * H(x^(q-1)) route on every element
     for m in range(1, 7):
         ctx = make_field(2 * m, m)
-        for spec in all_specs(6):
+        for shape in map(FamilySpec.shape, all_specs(6)):
             for bits in range(1 << ctx.n):
                 x = ctx.elem(bits)
-                assert eval_f(spec, ctx, x) == _h_route(spec, ctx, x)
+                assert eval_f(shape, ctx, x) == _h_route(shape, ctx, x)
 
 
 def test_eval_f_rejects_foreign_context():
@@ -116,26 +145,17 @@ def test_eval_f_rejects_foreign_context():
 
 
 def test_gcd_condition_examples():
-    assert gcd_condition(GeneralPentanomial(11, (1, 3, 9, 10)))
-    assert gcd_condition(GeneralPentanomial(9, (2, 3, 5, 6)))
-    assert gcd_condition(GeneralPentanomial(9, (3, 5, 7, 8)))
-
-
-def family_shape(spec):
-    """The family's search shape, or None when i = j cancellation leaves
-    fewer than five monomials (no strict r-tuple exists)."""
-    h = build_H(spec)
-    exps = [e for e in h.exponents() if e > 0]
-    if len(exps) != 4 or not h.bits & 1:
-        return None
-    return GeneralPentanomial(spec.t, tuple(sorted(exps)))
+    assert gcd_condition(Shape(11, (1, 3, 9, 10)))
+    assert gcd_condition(Shape(9, (2, 3, 5, 6)))
+    assert gcd_condition(Shape(9, (3, 5, 7, 8)))
 
 
 def test_family_tuple_of_B22_fails_the_sieve():
-    # terms cancel, so no strict r-tuple exists; the underlying pair has gcd Q^4
+    # terms cancel, leaving two r; the pair has gcd Q^4
     spec = FamilySpec("B", 2, 2)
-    assert family_shape(spec) is None
-    g = poly_gcd(build_H(spec), build_N(spec))
+    assert spec.shape() == Shape(9, (4, 8))
+    assert not gcd_condition(spec.shape())
+    g = poly_gcd(H(spec), N(spec))
     assert g != BinPoly(1)
     assert q_multiplicity(g) == 4
 
@@ -143,27 +163,24 @@ def test_family_tuple_of_B22_fails_the_sieve():
 def test_gcd_condition_matches_q_multiplicity_for_family_shapes():
     # the sieve passes exactly when gcd(N, H) has no Q factor
     for spec in all_specs(8):
-        shape = family_shape(spec)
-        if shape is None:
-            continue
-        r = q_multiplicity(poly_gcd(build_H(spec), build_N(spec)))
-        assert gcd_condition(shape) == (r == 0)
+        r = q_multiplicity(poly_gcd(H(spec), N(spec)))
+        assert gcd_condition(spec.shape()) == (r == 0)
 
 
 def test_shape_masks_equal_their_definitions():
     # H = 1 + sum x^r and N = x^t + sum x^(t - r), for every shape up to t = 12
     for t in range(4, 13):
         for rs in combinations(range(1, t + 1), 4):
-            shape = GeneralPentanomial(t, rs)
+            shape = Shape(t, rs)
             assert shape.h_poly().bits == sum(1 << e for e in (0,) + rs)
             assert shape.n_poly().bits == sum(1 << (t - e) for e in (0,) + rs)
 
 
 @st.composite
-def shapes(draw):
+def shapes(draw, min_size=0):
     t = draw(st.integers(4, 40))
-    rs = draw(st.lists(st.integers(1, t), min_size=4, max_size=4, unique=True))
-    return GeneralPentanomial(t, tuple(sorted(rs)))
+    rs = draw(st.lists(st.integers(1, t), min_size=min_size, max_size=6, unique=True))
+    return Shape(t, tuple(sorted(rs)))
 
 
 @given(shape=shapes(), m=st.integers(1, 20))
@@ -171,30 +188,22 @@ def test_shape_arithmetic_equals_its_definitions(shape, m):
     t, rs, q = shape.t, shape.rs, 1 << m
     h = BinPoly.from_exponents((0,) + rs)
     n = poly_reverse(h, t)
+    assert shape.shape() is shape
     assert shape.h_poly() == h
     assert shape.n_poly() == n
     assert shape.exponents(m) == (t,) + tuple(r * (q - 1) + t for r in rs)
     assert gcd_condition(shape) == (poly_gcd(h, n) == BinPoly(1))
 
 
-@given(shape=shapes(), k=st.integers(1, 5))
+@given(shape=shapes(min_size=2), k=st.integers(1, 5))
 def test_invalid_r_tuples_raise(shape, k):
     t, rs = shape.t, shape.rs
-    for bad in (rs[:3], rs + (t + k,), (rs[1], rs[0]) + rs[2:], (rs[0],) * 2 + rs[2:]):
+    for bad in ((rs[1], rs[0]) + rs[2:], (rs[0],) * 2 + rs[2:], rs + (rs[-1],)):
         with pytest.raises(ValueError, match="strictly increasing"):
-            GeneralPentanomial(t, bad)
-    for bad in ((1 - k,) + rs[1:], rs[:3] + (t + k,)):  # r1 < 1, r4 > t
+            Shape(t, bad)
+    for bad in ((1 - k,) + rs[1:], rs[:-1] + (t + k,), (1 - k,), (t + k,)):  # r < 1, r > t
         with pytest.raises(ValueError, match=r"lie in \[1, t\]"):
-            GeneralPentanomial(t, bad)
-
-
-def test_general_pentanomial_validation():
-    with pytest.raises(ValueError):
-        GeneralPentanomial(9, (3, 3, 5, 7))
-    with pytest.raises(ValueError):
-        GeneralPentanomial(9, (0, 3, 5, 7))
-    with pytest.raises(ValueError):
-        GeneralPentanomial(9, (3, 5, 7, 10))
+            Shape(t, bad)
 
 
 def test_registry_shape():
@@ -248,13 +257,13 @@ def test_row_exponents_match_resolved_spec_numerically():
         for m in range(2, 7):
             q = 1 << m
             row_exps = sorted(a * q + b for a, b in row.pairs)
-            assert row_exps == sorted(f_exponents(spec, m))
+            assert row_exps == sorted(spec.shape().exponents(m))
 
 
 def test_row_shape_extraction():
     rows = table1_registry()
-    assert rows[0].shape() == GeneralPentanomial(9, (3, 5, 7, 8))
-    assert rows[5].shape() == GeneralPentanomial(21, (1, 4, 16, 21))
+    assert rows[0].shape() == Shape(9, (3, 5, 7, 8))
+    assert rows[5].shape() == Shape(21, (1, 4, 16, 21))
 
 
 def test_registry_json_parses():

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import horner
-from pentaperm.families import FamilySpec, build_H, build_N
+from pentaperm.families import FamilySpec
 from pentaperm.field import make_field, omega
 from pentaperm.gf2poly import (
     BinPoly,
@@ -87,13 +87,13 @@ def test_gcd_q_divides_cube():
 def test_gcd_coprime_family_pair():
     # gcd(H_A(1,1), N_A(1,1)) = 1, consistent with r_A = 0 for both odd
     spec = FamilySpec("A", 1, 1)
-    assert poly_gcd(build_H(spec), build_N(spec)) == ONE
+    assert poly_gcd(spec.shape().h_poly(), spec.shape().n_poly()) == ONE
 
 
 def test_gcd_q_power_family_pair():
     # gcd(N_B(2,4), H_B(2,4)) = Q^4, consistent with r_B = Q1 = 4
     spec = FamilySpec("B", 2, 4)
-    assert poly_gcd(build_N(spec), build_H(spec)) == Q**4
+    assert poly_gcd(spec.shape().n_poly(), spec.shape().h_poly()) == Q**4
 
 
 def test_gcd_with_zero_and_rejects_both_zero():
@@ -170,7 +170,7 @@ def test_q_multiplicity_constructed():
 
 def test_q_multiplicity_of_family_gcd():
     spec = FamilySpec("B", 2, 4)
-    assert q_multiplicity(poly_gcd(build_N(spec), build_H(spec))) == 4
+    assert q_multiplicity(poly_gcd(spec.shape().n_poly(), spec.shape().h_poly())) == 4
 
 
 def test_q_multiplicity_rejects_zero():
@@ -187,7 +187,7 @@ def test_eval_q_at_zero_and_omega():
 
 def test_eval_family_at_one():
     ctx = make_field(4, 2)
-    h = build_H(FamilySpec("A", 3, 1))
+    h = FamilySpec("A", 3, 1).shape().h_poly()
     assert horner(ctx, h.bits, 1) == ctx.power_sum(1, h.exponents()) == 1
 
 

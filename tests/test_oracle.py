@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import all_specs, horner, inv_array, mul_array, power_sum_table, unit_circle
 from pentaperm import field, oracle
-from pentaperm.families import FamilySpec, eval_f, f_exponents
+from pentaperm.families import FamilySpec, eval_f, gcd_condition, table1_registry
 from pentaperm.field import FieldCtx, FieldElem, make_field, omega
 from pentaperm.gf2poly import BinPoly, poly_derivative, poly_mul
 from pentaperm.oracle import (
@@ -82,7 +82,7 @@ def test_monomials_permute_validation():
 def test_power_sum_table_equals_eval_f(m):
     ctx = make_field(2 * m, m)
     for spec in all_specs(3):
-        table = power_sum_table(ctx, f_exponents(spec, m))
+        table = power_sum_table(ctx, spec.shape().exponents(m))
         assert table == [eval_f(spec, ctx, ctx.elem(b)).bits for b in range(1 << ctx.n)]
 
 
@@ -218,10 +218,10 @@ def test_sweep_memory_is_the_antilog_table_plus_one_block():
     code = textwrap.dedent("""
         import resource
         import numpy
-        from pentaperm.families import FamilySpec, f_exponents
+        from pentaperm.families import FamilySpec
         from pentaperm.oracle import monomials_permute
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        verdict = monomials_permute(22, f_exponents(FamilySpec("B", 5, 6), 11))
+        verdict = monomials_permute(22, FamilySpec("B", 5, 6).shape().exponents(11))
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         print(verdict, (after - before) * 1024)
     """)
@@ -241,10 +241,10 @@ def test_sweep_memory_at_n24_is_the_bitmap_plus_a_few_blocks():
     code = textwrap.dedent("""
         import resource
         import numpy
-        from pentaperm.families import FamilySpec, f_exponents
+        from pentaperm.families import FamilySpec
         from pentaperm.oracle import monomials_permute
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        verdict = monomials_permute(24, f_exponents(FamilySpec("B", 5, 6), 12))
+        verdict = monomials_permute(24, FamilySpec("B", 5, 6).shape().exponents(12))
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         print(verdict, (after - before) * 1024)
     """)
@@ -281,7 +281,7 @@ def test_yielded_blocks_are_read_only(n):
 
 def test_multi_block_power_sum_table_at_seeded_points(rng):
     ctx = make_field(18, 9)
-    exps = [*f_exponents(FamilySpec("B", 5, 6), 9), ctx.order + 7, 1 << 20]
+    exps = [*FamilySpec("B", 5, 6).shape().exponents(9), ctx.order + 7, 1 << 20]
     table = power_sum_table(ctx, exps)
     for x in [0, 1] + [rng.randrange(1 << 18) for _ in range(998)]:
         want = 0
@@ -304,7 +304,7 @@ def test_multi_block_grouped_sweep_refuses_a_non_generator(monkeypatch):
     ctx = make_field(18, 9)
     not_generator = ctx.pow(ctx.generator(), 3)
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
-    exps = oracle._reduced_exponents(ctx.order, f_exponents(FamilySpec("B", 5, 6), 9))
+    exps = oracle._reduced_exponents(ctx.order, FamilySpec("B", 5, 6).shape().exponents(9))
     with pytest.raises(AssertionError, match="generator order mismatch"):
         list(oracle._power_sum_blocks(ctx, exps))
 
@@ -323,7 +323,7 @@ def wide_field_exponents(draw, degrees):
     if kind == "family":
         spec = FamilySpec(draw(st.sampled_from("ABC")), draw(st.integers(1, 12)),
                           draw(st.integers(1, 12)))
-        return n, list(f_exponents(spec, m))
+        return n, list(spec.shape().exponents(m))
     return n, draw(st.lists(st.integers(1, 4 * order), max_size=6))
 
 
@@ -378,7 +378,7 @@ def test_pentanomial_sweep_steps_the_points_and_one_sum(monkeypatch):
     # two constant multiplies per block; [1, 5] (period 2^18 - 1) takes three
     order = (1 << 18) - 1
     calls = count_applies(monkeypatch)
-    for exps, block, per_block in [(f_exponents(FamilySpec("B", 5, 6), 9), 513 * 127, 2),
+    for exps, block, per_block in [(FamilySpec("B", 5, 6).shape().exponents(9), 513 * 127, 2),
                                    ([1, 5], oracle._BLOCK, 3)]:
         calls.clear()
         sizes = [len(xs) for xs, _ in oracle._power_sum_blocks(
@@ -390,7 +390,7 @@ def test_pentanomial_sweep_steps_the_points_and_one_sum(monkeypatch):
 def test_verdict_sweep_steps_one_sum(monkeypatch):
     # the verdict path steps no points: one constant multiply per block of
     # 513 * 127 logs after the first, which grows from one period of 513
-    exps = f_exponents(FamilySpec("B", 5, 6), 9)
+    exps = FamilySpec("B", 5, 6).shape().exponents(9)
     blocks = -(-((1 << 18) - 1) // (513 * 127))
     calls = count_applies(monkeypatch)
     with sweep_block(oracle._BLOCK):
@@ -405,7 +405,7 @@ def test_verdict_sweep_refuses_a_non_generator(monkeypatch):
     not_generator = ctx.pow(ctx.generator(), 3)
     monkeypatch.setattr(FieldCtx, "generator", lambda self: not_generator)
     with sweep_block(oracle._BLOCK), pytest.raises(AssertionError, match="generator order mismatch"):
-        monomials_permute(18, f_exponents(FamilySpec("B", 5, 6), 9))
+        monomials_permute(18, FamilySpec("B", 5, 6).shape().exponents(9))
 
 
 def test_verdict_sweep_refuses_a_wrong_sum_step(monkeypatch):
@@ -413,7 +413,7 @@ def test_verdict_sweep_refuses_a_wrong_sum_step(monkeypatch):
     # blocks still mark a bitmap, but the last sum is no longer f(g^-1)
     ctx = make_field(18)
     g, order = ctx.generator(), ctx.order
-    exps = oracle._reduced_exponents(order, f_exponents(FamilySpec("B", 5, 6), 9))
+    exps = oracle._reduced_exponents(order, FamilySpec("B", 5, 6).shape().exponents(9))
     step = ctx.pow(g, 513 * 127 * exps[0])
     times = FieldCtx._times
     monkeypatch.setattr(FieldCtx, "_times", lambda self, c: times(
@@ -435,7 +435,7 @@ def grown_cases(n, rng):
     shared = [t + rng.randrange(1, 100) * (order // p) for _ in range(4)]
     cases = [shared, shared[:2], [t], [order - 1], [1, 2], []]
     if n % 2 == 0:
-        cases.append(list(f_exponents(FamilySpec("B", 5, 6), n // 2)))
+        cases.append(list(FamilySpec("B", 5, 6).shape().exponents(n // 2)))
     return cases
 
 
@@ -460,7 +460,7 @@ def test_one_block_sweep_refuses_a_wrong_growth_step(monkeypatch):
     # every row after the first is off, and so is the last sum
     ctx = make_field(16)
     g = ctx.generator()
-    exps = oracle._reduced_exponents(ctx.order, f_exponents(FamilySpec("B", 5, 6), 8))
+    exps = oracle._reduced_exponents(ctx.order, FamilySpec("B", 5, 6).shape().exponents(8))
     power = FieldCtx.pow
     monkeypatch.setattr(FieldCtx, "pow", lambda self, a, e: power(
         self, a, e + (self is ctx and a == g and e == 257 * exps[0])))
@@ -480,7 +480,7 @@ def test_brute_equals_theorem_on_every_cli_spec():
 
 def test_multi_block_sweep_with_a_block_the_period_divides():
     # a patched _BLOCK of 3 periods: every block is exactly _BLOCK logs
-    exps = f_exponents(FamilySpec("B", 5, 6), 9)
+    exps = FamilySpec("B", 5, 6).shape().exponents(9)
     with sweep_block(3 * 513):
         sizes = [len(xs) for xs, _ in oracle._power_sum_blocks(
             make_field(18), oracle._reduced_exponents((1 << 18) - 1, exps))]
@@ -615,6 +615,22 @@ def test_g_permutes_circle_large_even_m():
     spec = FamilySpec("B", 5, 6)
     expected = math.gcd(97, (1 << 12) + 1) == 1
     assert g_permutes_unit_circle(spec, 12) == expected
+
+
+@pytest.mark.parametrize("row_no", [1, 3, 7])
+def test_unexplained_rows_follow_the_circle_criterion(row_no):
+    # rows 1, 3 and 7 match no family; their shapes pass the sieve, so H has
+    # no root on the circle, and f permutes iff gcd(t, q - 1) = 1 and g
+    # permutes the circle.  Row 1 at m = 0 (mod 4) shows why the gcd is
+    # needed: g permutes the circle there while gcd(9, q - 1) > 1.
+    row = table1_registry()[row_no - 1]
+    assert gcd_condition(row.shape())
+    for m in range(1, 21):
+        circle = g_permutes_unit_circle(row, m)
+        verdict = math.gcd(row.t, (1 << m) - 1) == 1 and circle
+        assert verdict == row.condition_holds(m), m
+        if 2 * m <= 16:
+            assert brute_is_permutation(row, m) == verdict, m
 
 
 def test_g_permutes_cap():

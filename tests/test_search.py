@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from pentaperm import families, search
-from pentaperm.families import GeneralPentanomial, table1_registry
+from pentaperm.families import Shape, table1_registry
 from pentaperm.search import (
     Candidate,
     SearchConfig,
@@ -108,7 +108,7 @@ def test_search_call_counts(monkeypatch):
 def test_jsonl_and_csv_round():
     import json
 
-    cand = Candidate(GeneralPentanomial(11, (1, 3, 9, 10)), (2, 3), 2)
+    cand = Candidate(Shape(11, (1, 3, 9, 10)), (2, 3), 2)
     line = candidates_jsonl([cand]).strip()
     data = json.loads(line)
     assert data["params"] == {"r": [1, 3, 9, 10], "t": 11}

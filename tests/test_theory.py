@@ -91,13 +91,11 @@ def test_h_unit_roots_examples():
 
 
 def test_h_unit_roots_against_brute_scan():
-    from pentaperm.families import build_H
-
     for m in range(1, 7):
         ctx = make_field(2 * m, m)
         circle = unit_circle(ctx)
         for spec in all_specs(4):
-            h = build_H(spec)
+            h = spec.shape().h_poly()
             has_root = any(horner(ctx, h.bits, x.bits) == 0 for x in circle)
             assert has_root == h_unit_roots_exist(spec, m)
 
@@ -105,8 +103,6 @@ def test_h_unit_roots_against_brute_scan():
 def test_h_unit_roots_against_brute_scan_larger_m():
     # same check up to m = 10, evaluating the sparse H through the cyclic
     # structure of the circle (powers of a fixed generator zeta)
-    from pentaperm.families import build_H
-
     for m in range(7, 11):
         ctx = make_field(2 * m, m)
         q = 1 << m
@@ -116,7 +112,7 @@ def test_h_unit_roots_against_brute_scan_larger_m():
             zpow.append(ctx.mul(zpow[-1], zeta))
         assert ctx.mul(zpow[-1], zeta) == 1  # zeta has order q + 1
         for spec in all_specs(6):
-            exps = [e % (q + 1) for e in build_H(spec).exponents()]
+            exps = [e % (q + 1) for e in spec.shape().h_poly().exponents()]
             has_root = False
             for k in range(q + 1):
                 acc = 0
@@ -234,11 +230,10 @@ def test_mcondition_render_edge_cases():
     (FamilySpec("C", 2, 2), 8),
 ])
 def test_identity_derivative_examples(spec, power):
-    from pentaperm.families import build_H, build_N
     from pentaperm.gf2poly import Q, poly_derivative, poly_mul
 
     assert verify_identity_derivative(spec)
-    n, h = build_N(spec), build_H(spec)
+    n, h = spec.shape().n_poly(), spec.shape().h_poly()
     lhs = poly_mul(poly_derivative(n), h) + poly_mul(n, poly_derivative(h))
     assert lhs == Q**power
 
@@ -249,11 +244,10 @@ def test_identity_derivative_examples(spec, power):
     (FamilySpec("C", 1, 1), 5),
 ])
 def test_identity_Q_examples(spec, power):
-    from pentaperm.families import build_H, build_N
     from pentaperm.gf2poly import Q, poly_mul
 
     assert verify_identity_Q(spec)
-    n, h = build_N(spec), build_H(spec)
+    n, h = spec.shape().n_poly(), spec.shape().h_poly()
     assert poly_mul(n, n) + poly_mul(n, h) + poly_mul(h, h) == Q**power
 
 
