@@ -183,8 +183,9 @@ def _parse_m_range(text: str) -> range:
     return m_range
 
 
-def _row_report(row, m_range, brute, cfg) -> dict:
-    resolved = match_row(row)
+def _row_report(row, resolved, m_range, brute, cfg) -> tuple[dict, bool]:
+    """The row's record, and whether its engine condition is the printed
+    one intersected with 'm odd' (a disagreement the flags explain)."""
     printed_cond = theory.MCondition(row.condition_modulus, row.condition_allowed)
     report = {
         "row": row.row_no,
@@ -193,8 +194,9 @@ def _row_report(row, m_range, brute, cfg) -> dict:
         "resolved": None,
         "engine_condition": None,
         "condition_agrees": None,
-        "flags": families.row_discrepancies(row),
+        "flags": families.row_discrepancies(row, resolved),
     }
+    intersected = False
     if resolved is not None:
         engine = theory.m_condition(resolved)
         report["resolved"] = {"class": resolved.cls, "i": resolved.i, "j": resolved.j}
@@ -205,7 +207,8 @@ def _row_report(row, m_range, brute, cfg) -> dict:
                 2 * printed_cond.modulus,
                 frozenset(r for r in range(2 * printed_cond.modulus)
                           if printed_cond.contains(r) and r % 2 == 1))
-            if engine.equivalent(inter):
+            intersected = engine.equivalent(inter)
+            if intersected:
                 report["flags"].append(
                     f"row {row.row_no}: engine condition equals the printed "
                     "condition intersected with 'm odd'")
@@ -216,7 +219,7 @@ def _row_report(row, m_range, brute, cfg) -> dict:
                     if resolved is not None else row.condition_holds(m))
             agreement[m] = oracle.brute_is_permutation(row, m, cap=cfg.brute_cap) == want
         report["brute_agreement"] = agreement
-    return report
+    return report, intersected
 
 
 def cmd_table1(args, cfg: RunConfig) -> Report:
@@ -230,11 +233,11 @@ def cmd_table1(args, cfg: RunConfig) -> Report:
     m_range = _parse_m_range(args.m_range) if args.m_range else None
     if args.brute and 2 * m_range[-1] > cfg.brute_cap:
         _usage_error(f"2m = {2 * m_range[-1]} exceeds the brute cap {cfg.brute_cap}")
-    reports = [_row_report(row, m_range, args.brute, cfg) for row in rows]
-    failed = any(
-        rep["condition_agrees"] is False and not any(
-            "intersected" in f for f in rep["flags"])
-        for rep in reports)
+    resolutions = [match_row(row) for row in rows]
+    reports, intersected = zip(*(_row_report(row, resolved, m_range, args.brute, cfg)
+                                 for row, resolved in zip(rows, resolutions)))
+    failed = any(rep["condition_agrees"] is False and not explained
+                 for rep, explained in zip(reports, intersected))
     failed |= any(
         not all(rep.get("brute_agreement", {}).values()) for rep in reports)
 
@@ -263,7 +266,7 @@ def cmd_table1(args, cfg: RunConfig) -> Report:
                              for m, ok in rep["brute_agreement"].items())
             lines.append(f"   brute: {cells}")
     if args.row is not None and len(rows) == 1:
-        resolved = match_row(rows[0])
+        resolved = resolutions[0]
         if resolved is not None and theory.r_closed_form(resolved) == 0:
             cert2 = equivalence.search_monomial_cert(resolved, 2)
             cert3 = equivalence.search_bivariate_cert(resolved, 3)

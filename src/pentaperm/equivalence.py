@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 from .families import FamilySpec, eval_f
 from .field import FieldCtx, FieldElem, LinearMap, make_field, omega
-from .oracle import _power_sum_array, _power_sum_blocks, _reduced_exponents
-from .theory import r_closed_form
+from .oracle import _power_sum_array, _power_sum_blocks, _reduced_exponents, g_map
 
 __all__ = [
     "CertificateError",
@@ -105,8 +104,9 @@ class BivariateCert:
 
 
 def monomial_exponent(spec: FamilySpec, m: int) -> int:
-    """The canonical unreduced exponent t + r(2^m - 1)."""
-    return spec.t + r_closed_form(spec) * ((1 << m) - 1)
+    """The canonical unreduced exponent t + r(2^m - 1), where gcd(N, H) =
+    Q^r, so g = N/H reduced has degree t - 2r (deg H <= deg N = t)."""
+    return spec.t + (spec.t - g_map(spec).degree) // 2 * ((1 << m) - 1)
 
 
 def f4_pool(ctx: FieldCtx) -> tuple[FieldElem, ...]:
@@ -263,12 +263,12 @@ def verify_bivariate_cert(cert: BivariateCert, spec: FamilySpec, m: int) -> bool
 def search_bivariate_cert(spec: FamilySpec, m: int, pool=None) -> BivariateCert | None:
     """First verifying bivariate certificate over the pool, or None.
 
-    Requires r = 0: otherwise H has unit-circle roots for odd m and the
-    factorization hypothesis fails outright.
+    Requires r = 0, that is deg g = t: otherwise H has unit-circle roots
+    for odd m and the factorization hypothesis fails outright.
     """
     if m % 2 == 0:
         raise ValueError("bivariate certificates apply to odd m")
-    if r_closed_form(spec) != 0:
+    if g_map(spec).degree != spec.t:
         raise ValueError("bivariate search requires r = 0 for this family")
     ctx = make_field(2 * m, m)
     pool = f4_pool(ctx) if pool is None else tuple(pool)

@@ -15,6 +15,7 @@ hard-coded, and transcription slips stay visible.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -68,8 +69,12 @@ class FamilySpec:
         return f"FamilySpec({self.cls}, i={self.i}, j={self.j})"
 
     def shape(self) -> Shape:
-        """The class polynomial H as a shape; coinciding exponents cancel
-        (characteristic 2), so i = j leaves two r."""
+        """The class polynomial H as a shape, built once per spec; coinciding
+        exponents cancel (characteristic 2), so i = j leaves two r."""
+        return self._shape
+
+    @functools.cached_property
+    def _shape(self) -> Shape:
         q1, q2 = self.q1, self.q2
         if self.cls == "A":
             rs = (q1 + q2, q1 + 1, q2 + 1, 1)
@@ -259,11 +264,10 @@ def match_row(row: Table1Row) -> FamilySpec | None:
     return min(matches, key=lambda s: (s.cls, s.i, s.j))
 
 
-def row_discrepancies(row: Table1Row) -> list[str]:
+def row_discrepancies(row: Table1Row, resolved: FamilySpec | None) -> list[str]:
     """Human-readable flags where the printed columns disagree with the
-    computed resolution (column-order swaps)."""
+    row's resolution, match_row(row) (column-order swaps)."""
     out = []
-    resolved = match_row(row)
     if resolved is None:
         if row.printed_class is not None:
             out.append(f"row {row.row_no}: printed class does not match any spec")
@@ -296,6 +300,6 @@ def registry_as_json() -> str:
                 "class": row.printed_class, "i": row.printed_i, "j": row.printed_j},
             "resolved": None if resolved is None else {
                 "class": resolved.cls, "i": resolved.i, "j": resolved.j},
-            "flags": row_discrepancies(row),
+            "flags": row_discrepancies(row, resolved),
         })
     return json.dumps(rows, indent=2, sort_keys=True)

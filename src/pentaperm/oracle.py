@@ -1,10 +1,11 @@
 """Independent brute-force ground truth over concrete fields.
 
 Nothing here consults the closed-form theory: permutation status comes
-from exhaustive sweeps with a hit bitmap, the fractional map g = N/H is
-checked on the whole unit circle in polar coordinates (N and H as arrays,
-each value written as lambda zeta^i by integer gathers, with no field
-multiply or inverse), and critical points come from the zeros of the
+from exhaustive sweeps with a hit bitmap, the map z^t H(z)^(q-1), which is
+g = N/H on the unit circle, is checked on the whole circle in polar
+coordinates (H as an array, each value written as lambda zeta^i by integer
+gathers, with no field multiply or inverse; the reduced g only at roots of
+H), and critical points come from the zeros of the
 Wronskian over all of GF(2^(2m)), with their indices from Hasse
 derivatives.  That independence is what makes agreement with the theorem
 engine a meaningful check.
@@ -329,10 +330,8 @@ def brute_is_permutation(x: Shaped, m: int, cap: int = BRUTE_CAP) -> bool:
 
 @dataclass(frozen=True)
 class RationalMap:
-    """Quotient of GF(2)[x] polynomials, with its reduced form cached."""
+    """Quotient of GF(2)[x] polynomials, held in reduced form."""
 
-    num: BinPoly
-    den: BinPoly
     reduced_num: BinPoly
     reduced_den: BinPoly
 
@@ -341,7 +340,7 @@ class RationalMap:
         if not den:
             raise ValueError("denominator must be nonzero")
         g = poly_gcd(num, den)
-        return cls(num, den, poly_divmod(num, g)[0], poly_divmod(den, g)[0])
+        return cls(poly_divmod(num, g)[0], poly_divmod(den, g)[0])
 
     @property
     def degree(self) -> int:
@@ -409,30 +408,27 @@ def _unit_circle_table(ctx: FieldCtx):
 
 
 def _ratio_keys(logs, coords, m: int):
-    """(key, lead) of nonzero y = a + b zeta from coords = a | b << m, with
-    logs[0] = -2^41: key is log a - log b mod q - 1 for the ratio [a : b],
-    -1 when a = 0 and q - 1 when b = 0 (the difference is then below -2^40
-    or above 2^40, and clipped); lead is log b, or log a - 2^40 when b = 0."""
+    """The key of nonzero y = a + b zeta from coords = a | b << m, with
+    logs[0] = -2^41: log a - log b mod q - 1 for the ratio [a : b], -1 when
+    a = 0 and q - 1 when b = 0 (the difference is then below -2^40 or above
+    2^40, and clipped)."""
     import numpy as np
 
     low = (1 << m) - 1
-    la, lb = logs[coords & low], logs[coords >> m]
-    key = la - lb
+    key = logs[coords & low] - logs[coords >> m]
     key += low & (key >> 63)  # a negative difference gains q - 1
-    np.clip(key, -1, low, out=key)
-    la -= 1 << 40
-    return key, np.maximum(lb, la, out=lb)
+    return np.clip(key, -1, low, out=key)
 
 
 @functools.lru_cache(maxsize=1)
 def _polar_tables(ctx: FieldCtx):
-    """(basis, logs, index, offset) for y = lambda zeta^i in GF(q^2)*, one
-    set per process.  As q is even, GF(q^2)* is GF(q)* x mu_(q+1), and the
-    ratio [a : b] of y = a + b zeta (zeta = ztab[1]) names i, since the
-    circle's q + 1 points have distinct ratios.  basis maps bits to
-    coordinates a | b << m over gamma^j, gamma^j zeta (j < m, gamma
-    generating GF(q)*); logs[a] = log_gamma a (size q); index[key] = i and
-    offset[key] = the lead log of zeta^i (size q + 1, keys of _ratio_keys)."""
+    """(basis, logs, index) for y = lambda zeta^i in GF(q^2)*, one set per
+    process.  As q is even, GF(q^2)* is GF(q)* x mu_(q+1), and the ratio
+    [a : b] of y = a + b zeta (zeta = ztab[1]) names i, since the circle's
+    q + 1 points have distinct ratios.  basis maps bits to coordinates
+    a | b << m over gamma^j, gamma^j zeta (j < m, gamma generating GF(q)*);
+    logs[a] = log_gamma a (size q); index[key] = i (size q + 1, keys of
+    _ratio_keys)."""
     import numpy as np
 
     m, ztab = ctx.subfield_m, _unit_circle_table(ctx)
@@ -448,64 +444,60 @@ def _polar_tables(ctx: FieldCtx):
         if int(coords.max()) >> m:
             raise AssertionError("subfield element off the first coordinate")
         logs[coords] = np.arange(lo, lo + len(coords))
-    del sub  # before the two circle-sized tables: a lower peak at m = 20
-    index, offset = np.full(len(ztab), -1, dtype=np.int64), np.empty(len(ztab), dtype=np.int64)
+    del sub  # before the circle-sized table: a lower peak at m = 20
+    index = np.full(len(ztab), -1, dtype=np.int64)
     for lo in range(0, len(ztab), _SLICE):
-        key, offset_by_point = _ratio_keys(logs, basis.apply(ztab[lo:lo + _SLICE]), m)
-        index[key], offset[key] = np.arange(lo, lo + len(key)), offset_by_point
+        key = _ratio_keys(logs, basis.apply(ztab[lo:lo + _SLICE]), m)
+        index[key] = np.arange(lo, lo + len(key))
     if int(np.count_nonzero(index < 0)):
         raise AssertionError("circle points share a ratio")
-    return basis, logs, index, offset
+    return basis, logs, index
 
 
 def _polar(ctx: FieldCtx, ys):
-    """(i, log_gamma lambda) arrays with y = lambda zeta^i, lambda in GF(q)*,
-    for a numpy array of y (_polar_tables names zeta and gamma); y = 0 gets
-    a log below 0, which matches no lambda."""
-    basis, logs, index, offset = _polar_tables(ctx)
-    key, lead = _ratio_keys(logs, basis.apply(ys), ctx.subfield_m)
-    lead -= offset[key]
-    lead += len(offset) - 2 & (lead >> 63)
-    return index[key], lead
+    """The array of i with y = lambda zeta^i, lambda in GF(q)*, for a numpy
+    array of y (_polar_tables names zeta); y = 0 gets an index too, so a
+    caller that may pass 0 checks the point it names."""
+    basis, logs, index = _polar_tables(ctx)
+    return index[_ratio_keys(logs, basis.apply(ys), ctx.subfield_m)]
 
 
 def g_permutes_unit_circle(x: Shaped, m: int) -> bool:
-    """Whether the reduced g of x's shape maps the unit circle bijectively
-    onto itself.
+    """Whether g(z) = z^t H(z)^(q-1), for x's shape (t, H), maps the unit
+    circle bijectively onto itself; off the roots of H it is the reduced
+    N/H, as N(z) = z^t H(z)^q on the circle.
 
-    The circle is cyclic of order q+1, so N and H restrict to lookups in
-    a (q+1)-entry power table, taken in _SLICE slices.  In
-    polar form y = lambda zeta^i (_polar), N/H lies on the circle iff
-    lambda(N) = lambda(H), and is then zeta^(i(N) - i(H)): g permutes the
-    circle iff every lambda matches and i(N) - i(H) mod q + 1 hits every
-    residue.  Only the roots of H on the circle need the reduced
-    polynomials directly; a pole there, or a zero of g, answers False.
-    Such a root is a root of N too (N(z) = z^t H(z)^q on the circle), so
-    a shape with coprime N and H has none.
+    The circle is cyclic of order q + 1, so H restricts to lookups in a
+    (q+1)-entry power table, taken in _SLICE slices.  With H(zeta^k) =
+    lambda zeta^i (_polar), lambda in GF(q)* and lambda^(q-1) = 1, so
+    g(zeta^k) = zeta^(t k - 2 i): g permutes the circle iff t k - 2 i
+    mod q + 1 hits every residue.  Only roots of H on the circle read the
+    reduced g, built at the first.  Such a root is a root of N of the same
+    multiplicity (H(1/z) = H(z)^q), so the reduced g has no pole or zero
+    there and lies on the circle; a value off it is an AssertionError.
     """
     import numpy as np
 
     if m > MU_CAP:
         raise ValueError(f"m = {m} exceeds the unit-circle cap {MU_CAP}")
     ctx = make_field(2 * m, m)
-    gmap = g_map(x)
-    ztab = _unit_circle_table(ctx)
-    exps = [p.exponents() for p in (gmap.num, gmap.den)]
-    hits = np.zeros(len(ztab), dtype=bool)
-    for lo in range(0, len(ztab), _SLICE):
-        ks = np.arange(lo, min(lo + _SLICE, len(ztab)), dtype=np.int64)
-        nvals, hvals = (_sparse_values(ztab, ks, e) for e in exps)
-        # roots of H are roots of N too: the reduced form gives g there, and
-        # a pole where H holds the root more often than N
-        for k in np.flatnonzero(hvals == 0).tolist():
-            red = gmap.eval_bits(ctx, int(ztab[lo + k]))
-            if red is INFINITY:
-                return False
-            nvals[k], hvals[k] = red, 1
-        (i_num, lam_num), (i_den, lam_den) = _polar(ctx, nvals), _polar(ctx, hvals)
-        if not np.array_equal(lam_num, lam_den):
-            return False
-        hits[i_num - i_den] = True  # a negative index wraps: the residue mod q + 1
+    shape, ztab, gmap = x.shape(), _unit_circle_table(ctx), None
+    size, exps = len(ztab), shape.h_poly().exponents()
+    hits = np.zeros(size, dtype=bool)
+    for lo in range(0, size, _SLICE):
+        ks = np.arange(lo, min(lo + _SLICE, size), dtype=np.int64)
+        hvals = _sparse_values(ztab, ks, exps)
+        powers = ks * (shape.t % size) - 2 * _polar(ctx, hvals)
+        roots = np.flatnonzero(hvals == 0)  # their powers are replaced below
+        if len(roots):
+            gmap = gmap or g_map(shape)
+            # a pole stands in as 0: neither lies on the circle
+            values = np.array([0 if v is INFINITY else v for v in (
+                gmap.eval_bits(ctx, z) for z in ztab[lo + roots].tolist())], dtype=np.int64)
+            powers[roots] = i = _polar(ctx, values)
+            if not np.array_equal(ztab[i], values):
+                raise AssertionError("reduced g leaves the circle at a root of H")
+        hits[powers % size] = True
     return bool(hits.all())
 
 

@@ -50,6 +50,12 @@ def test_monomial_exponent():
     assert monomial_exponent(FamilySpec("B", 2, 4), 4) == 21 + 4 * 15
 
 
+def test_monomial_exponent_takes_r_from_g():
+    # r = (t - deg g) / 2 read off the oracle's g equals the closed form
+    for spec in all_specs(12):
+        assert monomial_exponent(spec, 2) == spec.t + 3 * r_closed_form(spec), spec
+
+
 def test_exponent_gcd_splits_by_crt():
     # gcd(e, q^2-1) = 1 iff gcd(t, q-1) = 1 and gcd(t-2r, q+1) = 1
     for m in range(2, 13):

@@ -39,16 +39,29 @@ def _package_imports(module: str) -> set[str]:
     return found
 
 
-def test_oracle_never_imports_theory():
-    # the cross-check is only worth something while the oracles stay
-    # independent of the closed-form theory
-    seen, todo = set(), ["pentaperm.oracle"]
+def _reachable(module: str) -> set[str]:
+    """The package modules the module imports, directly or through others."""
+    seen, todo = set(), [module]
     while todo:
         module = todo.pop()
         if module not in seen:
             seen.add(module)
             todo.extend(_package_imports(module))
+    return seen
+
+
+def test_oracle_never_imports_theory():
+    # the cross-check is only worth something while the oracles stay
+    # independent of the closed-form theory
+    seen = _reachable("pentaperm.oracle")
     assert "pentaperm.field" in seen
+    assert "pentaperm.theory" not in seen
+
+
+def test_equivalence_never_imports_theory():
+    # certificates take r from the oracle's g, so they check the theory too
+    seen = _reachable("pentaperm.equivalence")
+    assert "pentaperm.oracle" in seen
     assert "pentaperm.theory" not in seen
 
 

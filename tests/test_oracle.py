@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import all_specs, horner, inv_array, mul_array, power_sum_table, unit_circle
 from pentaperm import field, oracle
-from pentaperm.families import FamilySpec, eval_f, gcd_condition, table1_registry
+from pentaperm.families import FamilySpec, Shape, eval_f, gcd_condition, table1_registry
 from pentaperm.field import FieldCtx, FieldElem, make_field, omega
 from pentaperm.gf2poly import BinPoly, poly_derivative, poly_mul
 from pentaperm.oracle import (
@@ -36,7 +36,7 @@ from pentaperm.oracle import (
     ramification_profile,
     ramification_report,
 )
-from pentaperm.theory import theorem_verdict
+from pentaperm.theory import r_closed_form, theorem_verdict
 
 # the default sweep block, and one small enough to split every field but GF(4)
 BLOCKS = [oracle._BLOCK, 5]
@@ -584,28 +584,19 @@ def test_g_permutes_circle_equals_pointwise_g_eval(m):
         assert g_permutes_unit_circle(spec, m) == (images == set(circle)), spec
 
 
-@pytest.mark.parametrize("m", [2, 4, 8])
-def test_g_permutes_circle_refuses_a_zero_on_the_circle(m, monkeypatch):
-    # (x + 1)/(x^2 + x + 1) takes 1, on every circle, to 0, off it; at even
-    # m the roots of x^2 + x + 1 lie off the circle, so g has no pole there
-    gmap = RationalMap.make(BinPoly(0b11), BinPoly(0b111))
-    monkeypatch.setattr(oracle, "g_map", lambda spec: gmap)
-    ctx = make_field(2 * m, m)
-    assert 0 in oracle._sparse_values(oracle._unit_circle_table(ctx), np.arange(1), [0, 1])
-    assert oracle._polar(ctx, np.zeros(1, dtype=np.int64))[1][0] < 0
-    assert not g_permutes_unit_circle(FamilySpec("A", 1, 1), m)
-
-
-@pytest.mark.parametrize("num, den", [(0b10, 0b111), (0b111, 0b10101)])
-def test_g_permutes_circle_refuses_a_pole_on_the_circle(num, den, monkeypatch):
-    # no family cell above has a pole on the circle; x/(x^2+x+1) has one
-    # at omega, and (x^2+x+1)/(x^2+x+1)^2 one after reduction
+@pytest.mark.parametrize("num, den", [(0b10, 0b111), (0b111, 0b10101), (0b111, 0b11)])
+def test_g_permutes_circle_asserts_at_a_root_of_h(num, den, monkeypatch):
+    # A(2, 1) has r = 3: at m = 1, H vanishes at omega and omega^2, two of
+    # the three circle points, so the kernel reads the reduced g there.  No
+    # shape's reduced g has a pole or a zero on the circle; a substituted
+    # x/(x^2+x+1) has a pole at omega, (x^2+x+1)/(x^2+x+1)^2 one after
+    # reduction, and (x^2+x+1)/(x+1) a zero
     gmap = RationalMap.make(BinPoly(num), BinPoly(den))
-    monkeypatch.setattr(oracle, "g_map", lambda spec: gmap)
+    monkeypatch.setattr(oracle, "g_map", lambda shape: gmap)
     ctx = make_field(2, 1)
-    spec = FamilySpec("A", 1, 1)
-    assert INFINITY in {gmap.eval(ctx, z) for z in unit_circle(ctx)}
-    assert not g_permutes_unit_circle(spec, 1)
+    assert {gmap.eval(ctx, z) for z in unit_circle(ctx)} & {INFINITY, ctx.zero()}
+    with pytest.raises(AssertionError, match="reduced g leaves the circle at a root of H"):
+        g_permutes_unit_circle(FamilySpec("A", 2, 1), 1)
 
 
 def test_g_permutes_circle_large_even_m():
@@ -645,14 +636,14 @@ def g_permutes_unit_circle_by_inverse(spec, m):
     multiply, roots of H by the reduced form, and bijectivity by one sorted
     comparison with the circle."""
     ctx = make_field(2 * m, m)
-    gmap = oracle.g_map(spec)
+    shape = spec.shape()
     ztab = oracle._unit_circle_table(ctx)
     ks = np.arange(len(ztab), dtype=np.int64)
-    hvals = oracle._sparse_values(ztab, ks, gmap.den.exponents())
-    values = mul_array(ctx, oracle._sparse_values(ztab, ks, gmap.num.exponents()),
+    hvals = oracle._sparse_values(ztab, ks, shape.h_poly().exponents())
+    values = mul_array(ctx, oracle._sparse_values(ztab, ks, shape.n_poly().exponents()),
                        inv_array(ctx, hvals))
     for k in np.flatnonzero(hvals == 0).tolist():
-        red = gmap.eval_bits(ctx, int(ztab[k]))
+        red = oracle.g_map(spec).eval_bits(ctx, int(ztab[k]))
         if red is INFINITY:
             return False
         values[k] = red
@@ -667,6 +658,28 @@ def test_g_permutes_circle_equals_inverse_reference(m):
         assert g_permutes_unit_circle(spec, m) == g_permutes_unit_circle_by_inverse(spec, m), spec
 
 
+@settings(deadline=None, max_examples=80)
+@given(t=st.integers(1, 25), data=st.data())
+def test_g_permutes_circle_equals_inverse_reference_on_any_shape(t, data):
+    # any r-tuple, not only the families' and rows': H may vanish on the
+    # circle at even m as well as odd, and only there is the reduced g read
+    rs = tuple(sorted(data.draw(st.sets(st.integers(1, t)))))
+    m = data.draw(st.integers(1, 8))
+    shape = Shape(t, rs)
+    assert g_permutes_unit_circle(shape, m) == g_permutes_unit_circle_by_inverse(shape, m)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_g_permutes_circle_at_roots_of_h_follows_the_gcd(m):
+    # at odd m, H vanishes on the circle exactly for the 324 CLI specs with
+    # r > 0, and there g permutes the circle iff gcd(t - 2r, q - 1) = 1
+    specs = [spec for spec in all_specs(12) if r_closed_form(spec) > 0]
+    assert len(specs) == 324
+    for spec in specs:
+        gcd = math.gcd(spec.t - 2 * r_closed_form(spec), (1 << m) - 1)
+        assert g_permutes_unit_circle(spec, m) == (gcd == 1), spec
+
+
 def circle_generators(m):
     """(gamma, zeta): the generators of GF(q)* and mu_(q+1) that the polar tables use."""
     ctx = make_field(2 * m, m)
@@ -677,8 +690,9 @@ def circle_generators(m):
 @settings(deadline=None, max_examples=5)
 @given(data=st.data())
 def test_polar_form_rebuilds_y(m, data):
-    # y = lambda zeta^i by scalar arithmetic, for random y and for y built
-    # from (i, log lambda); i = 0 is the point with b = 0 and i = 1 (zeta
+    # y = lambda zeta^i with lambda in GF(q)*: y zeta^-i is nonzero and
+    # fixed by x -> x^q, for random y, and i is the index y was built from
+    # (i, log lambda); i = 0 is the point with b = 0 and i = 1 (zeta
     # itself) the one with a = 0
     ctx = make_field(2 * m, m)
     q = 1 << m
@@ -687,25 +701,11 @@ def test_polar_form_rebuilds_y(m, data):
         st.lists(st.tuples(st.integers(0, q), st.integers(0, q - 2)), max_size=8))
     randoms = data.draw(st.lists(st.integers(1, ctx.order), max_size=8))
     ys = randoms + [ctx.mul(ctx.pow(gamma, lam), ctx.pow(zeta, i)) for i, lam in pairs]
-    index, logs = oracle._polar(ctx, np.array(ys, dtype=np.int64))
-    got = list(zip(index.tolist(), logs.tolist()))
-    assert [ctx.mul(ctx.pow(gamma, lam), ctx.pow(zeta, i)) for i, lam in got] == ys
-    assert all(0 <= i <= q and 0 <= lam < q - 1 for i, lam in got)
-    assert got[len(randoms):] == pairs
-
-
-@pytest.mark.parametrize("m", range(2, 17, 2))
-def test_g_permutes_circle_checks_lambda(m, monkeypatch):
-    # negative control: N = x^2 + x + 1 over H = 1 takes the circle to q + 1
-    # distinct ratio classes, but not to one lambda, so g does not permute it
-    gmap = RationalMap.make(BinPoly(0b111), BinPoly(1))
-    monkeypatch.setattr(oracle, "g_map", lambda spec: gmap)
-    spec, ctx = FamilySpec("A", 1, 1), make_field(2 * m, m)
-    ztab = oracle._unit_circle_table(ctx)
-    index, logs = oracle._polar(ctx, oracle._sparse_values(ztab, np.arange(len(ztab)), [0, 1, 2]))
-    assert len(set(index.tolist())) == len(ztab) and len(set(logs.tolist())) > 1
-    assert not g_permutes_unit_circle(spec, m)
-    assert not g_permutes_unit_circle_by_inverse(spec, m)
+    index = oracle._polar(ctx, np.array(ys, dtype=np.int64)).tolist()
+    assert all(0 <= i <= q for i in index)
+    lams = [ctx.mul(y, ctx.pow(zeta, q + 1 - i)) for y, i in zip(ys, index)]
+    assert all(lam and ctx.frob_q(lam) == lam for lam in lams)
+    assert index[len(randoms):] == [i for i, _ in pairs]
 
 
 def test_polar_tables_refuse_a_non_generator(monkeypatch):
